@@ -9,6 +9,7 @@ degeneracy map).  Exit codes: 0 success, 2 configuration or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -240,12 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common],
                        help="transition-frequency curves over a field sweep")
     p.add_argument("--species", required=True, help="comma-separated catalog names")
-    p.add_argument("--axis", type=_parse_axis, default=_parse_axis("100"))
+    p.add_argument("--axis", type=_parse_axis, default="100")
     p.add_argument("--range", type=_parse_range, default=(0.0, 145.0, 0.1),
                    help="B_MIN:B_MAX[:STEP] in gauss (default 0:145:0.1)")
     p.add_argument("--rule", choices=[r.value for r in ManifoldRule], default=None,
                    help="transition selection (default: natural rule per species)")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("crossings", parents=[common], help="resonance conditions between two species")
     p.add_argument("--a", help="first species")
@@ -253,10 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1-three-body", action="store_true",
                    help="NV-NV-P1 condition instead of a direct crossing")
     p.add_argument("--nv", default="NV", help="probe species for --p1-three-body")
-    p.add_argument("--axis", type=_parse_axis, default=_parse_axis("100"))
+    p.add_argument("--axis", type=_parse_axis, default="100")
     p.add_argument("--range", type=_parse_range, default=(15.0, 145.0, 0.1))
     p.add_argument("--format", default="csv,json", help="outputs to write: csv,json")
-    p.set_defaults(func=cmd_crossings)
 
     p = sub.add_parser("fit", parents=[common], help="calibrate, baseline, and fit a PL scan")
     p.add_argument("scan", type=Path, help="scan CSV (header + abscissa,counts)")
@@ -267,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=_parse_windows, default=None,
                    help="excluded windows LO:HI[,LO:HI...] in gauss")
     p.add_argument("--nv", default="NV")
-    p.add_argument("--axis", type=_parse_axis, default=_parse_axis("100"))
+    p.add_argument("--axis", type=_parse_axis, default="100")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="detection threshold in robust-sigma units (default 5)")
     p.add_argument("--format", default="csv,json")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("invert", parents=[common], help="zero-field splitting from a dip position")
     p.add_argument("--center", type=float, default=None, help="dip center in gauss")
@@ -288,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nv", default="NV")
     p.add_argument("--nv-branch", default="ms=0>ms=-1")
     p.add_argument("--target-branch", default="ms=0>ms=+1")
-    p.add_argument("--axis", type=_parse_axis, default=_parse_axis("100"))
-    p.set_defaults(func=cmd_invert)
+    p.add_argument("--axis", type=_parse_axis, default="100")
 
     p = sub.add_parser("map", parents=[common], help="angular degeneracy map around [100]")
     p.add_argument("--amplitude", type=float, default=115.0, help="field in gauss")
@@ -299,13 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linewidth", type=float, default=6.0, help="FWHM in MHz")
     p.add_argument("--contrast", type=float, default=0.05)
     p.add_argument("--species", default="NV")
-    p.set_defaults(func=cmd_map)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged,
+    and each string default (such as --axis "100") is converted afresh on
+    every parse, so no parsed value is shared between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         catalog = load_catalog(args.catalog)
     except CatalogError as exc:
@@ -314,7 +317,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
         try:
-            code = args.func(args, catalog)
+            # looked up per call, not bound into the cached parser
+            code = globals()[f"cmd_{args.command}"](args, catalog)
         except NoSolutionError as exc:
             print(f"crosspeak: {exc}", file=sys.stderr)
             return EXIT_DOMAIN

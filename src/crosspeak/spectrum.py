@@ -17,7 +17,8 @@ from numpy.polynomial import Polynomial
 from scipy.ndimage import median_filter
 from scipy.signal import find_peaks
 
-from .spin import MagneticField, Orientation, SpinSpecies, nv_probe_frequencies
+from .roots import bisect, first_crossing
+from .spin import Orientation, SpinSpecies, probe_frequencies, probe_zeeman
 
 # robust sigma from the median absolute deviation of a normal sample
 MAD_SIGMA = 1.4826
@@ -25,6 +26,12 @@ DETECT_K = 5.0
 FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # z-score of the residual runs test below which a fit is flagged as poor
 RUNS_Z_POOR = -3.0
+# fewest samples a Gaussian dip fit takes (three parameters)
+MIN_FIT_POINTS = 7
+# probe-field inversion: bracketing scan step and the calibration search
+FIELD_SCAN_STEP = 2.0  # G
+CALIBRATION_B_MAX = 1000.0  # G
+CALIBRATION_TOL = 1e-6  # G
 
 
 class AbscissaKind(str, Enum):
@@ -120,6 +127,41 @@ class CalibrationMap:
         return Spectrum(fields, spectrum.counts, AbscissaKind.FIELD, meta)
 
 
+def _probe_fields(nv: SpinSpecies, h1, frequencies, b_max: float, tol: float) -> np.ndarray:
+    """Field amplitudes at which an NV probe branch equals each frequency,
+    NaN where neither branch reaches it below b_max.
+
+    One stacked scan over 0..b_max in FIELD_SCAN_STEP steps brackets every
+    frequency at once; one stacked bisection then refines all brackets.
+    """
+    if not np.isfinite(b_max):
+        raise ValueError("b_max must be finite")
+    freqs = np.asarray(frequencies, dtype=float)
+    grid = FIELD_SCAN_STEP * np.arange(max(int(b_max // FIELD_SCAN_STEP), 0) + 1)
+    lower, upper = probe_frequencies(nv.D, nv.E, grid, h1[None])
+    # below the zero-field line the lower branch, above it the upper
+    use_upper = freqs > upper[0]
+    g = np.where(use_upper[:, None], upper, lower) - freqs[:, None]
+    k = first_crossing(g)
+    j = np.maximum(k - 1, 0)
+    every = np.arange(len(freqs))
+
+    def gap(b, rows):
+        lower, upper = probe_frequencies(nv.D, nv.E, b, h1[None])
+        return np.where(use_upper[rows], upper, lower) - freqs[rows]
+
+    fields = bisect(gap, grid[j], grid[k], g[every, j], g[every, k], tol)
+    at_zero = (np.abs(freqs - lower[0]) < 1e-9) | (np.abs(freqs - upper[0]) < 1e-9)
+    fields[at_zero] = 0.0
+    return fields
+
+
+def _not_reached(frequency, b_max) -> NoSolutionError:
+    return NoSolutionError(
+        f"{frequency} MHz is not reached by either NV probe branch below {b_max} G"
+    )
+
+
 def field_for_frequency(
     nv: SpinSpecies,
     axis,
@@ -131,47 +173,21 @@ def field_for_frequency(
     """Field amplitude at which an NV probe branch equals ``frequency``.
 
     The branch is picked by the sign of frequency - f(0): below the
-    zero-field line the lower branch, above it the upper.  Bisection on
-    the exact Hamiltonian; raises NoSolutionError when the frequency is
-    off both branches over [0, b_max].
+    zero-field line the lower branch, above it the upper.  A scan in
+    2 G steps brackets the field, bisection on the exact Hamiltonian
+    refines it to ``tol``; raises NoSolutionError when the frequency is
+    off both branches over [0, b_max].  A one-frequency ``calibrate``
+    solve.
     """
     if orientation is None:
         orientation = nv.orientations()[0]
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-
-    def branch(b: float) -> float:
-        f = nv_probe_frequencies(nv, MagneticField(b, axis), orientation)
-        return f[1] if frequency > f0_hi else f[0]
-
-    f0_lo, f0_hi = nv_probe_frequencies(nv, MagneticField(0.0, axis), orientation)
-    if abs(frequency - f0_lo) < 1e-9 or abs(frequency - f0_hi) < 1e-9:
-        return 0.0
-
-    lo, g_lo = 0.0, branch(0.0) - frequency
-    hi = None
-    scan = 2.0
-    b = scan
-    while b <= b_max:
-        g = branch(b) - frequency
-        if g == 0.0:
-            return b
-        if (g < 0) != (g_lo < 0):
-            hi = b
-            break
-        lo, g_lo = b, g
-        b += scan
-    if hi is None:
-        raise NoSolutionError(
-            f"{frequency} MHz is not reached by either NV probe branch below {b_max} G"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (branch(mid) - frequency < 0) == (g_lo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    h1 = probe_zeeman(nv, axis, orientation)
+    b = _probe_fields(nv, h1, [frequency], b_max, tol)[0]
+    if np.isnan(b):
+        raise _not_reached(frequency, b_max)
+    return float(b)
 
 
 def calibrate(
@@ -180,31 +196,36 @@ def calibrate(
     """Build the voltage-to-field map from microwave fiducials.
 
     Each (voltage, frequency MHz) fiducial is inverted through the NV
-    Hamiltonian; the resulting anchors must be monotone.  Classes are
-    assumed degenerate along the sweep axis (true for [100]); a spread
-    above 0.1 MHz across classes at an anchor sets the
-    "class-ambiguous" flag instead of failing.
+    Hamiltonian of the first orientation class, as ``field_for_frequency``
+    does, but all fiducials together: one stacked 0-1000 G scan in 2 G
+    steps brackets every frequency and one stacked bisection refines
+    them.  The resulting anchors must be monotone.  Classes are assumed
+    degenerate along the sweep axis (true for [100]); a spread above
+    0.1 MHz across classes at an anchor, checked in one more stacked
+    solve, sets the "class-ambiguous" flag instead of failing.
     """
     if spectrum.kind is not AbscissaKind.VOLTAGE:
         raise ValueError("fiducial calibration starts from a voltage scan")
     fid = np.asarray(fiducials, dtype=float)
     if fid.ndim != 2 or fid.shape[1] != 2 or fid.shape[0] < 2:
         raise ValueError("need at least 2 (voltage, frequency) fiducials")
-    flags: list[str] = []
-    anchors = []
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    for volt, freq in fid:
-        b = field_for_frequency(nv, axis, freq)
-        anchors.append((volt, b))
-        spread = []
-        for orientation in nv.orientations():
-            f = nv_probe_frequencies(nv, MagneticField(b, axis), orientation)
-            spread.append(min(abs(f[0] - freq), abs(f[1] - freq)))
-        if max(spread) > 0.1:
-            if "class-ambiguous" not in flags:
-                flags.append("class-ambiguous")
-    return CalibrationMap(np.asarray(anchors), tuple(flags))
+    h1 = np.array([probe_zeeman(nv, axis, o) for o in nv.orientations()])
+    volts, freqs = fid[:, 0], fid[:, 1]
+    fields = _probe_fields(nv, h1[0], freqs, CALIBRATION_B_MAX, CALIBRATION_TOL)
+    for freq, b in zip(freqs, fields):
+        if np.isnan(b):
+            raise _not_reached(freq, CALIBRATION_B_MAX)
+    # every anchor field under every orientation class, in one stack
+    n_cls = len(h1)
+    lower, upper = probe_frequencies(
+        nv.D, nv.E, np.repeat(fields, n_cls), np.tile(h1, (len(fields), 1, 1))
+    )
+    f_ref = np.repeat(freqs, n_cls)
+    spread = np.minimum(np.abs(lower - f_ref), np.abs(upper - f_ref))
+    flags = ("class-ambiguous",) if np.any(spread > 0.1) else ()
+    return CalibrationMap(np.column_stack([volts, fields]), flags)
 
 
 @dataclass(eq=False)
@@ -361,9 +382,17 @@ def fit_gaussian(residual: Spectrum, window) -> PeakFit:
     """
     lo, hi = (window.bounds if isinstance(window, PeakWindow) else (window[0], window[1]))
     sel = (residual.abscissa >= lo) & (residual.abscissa <= hi)
+    if isinstance(window, PeakWindow) and np.count_nonzero(sel) < MIN_FIT_POINTS:
+        # a detected window at the width floor spans +-3 samples, but float
+        # rounding of its bounds can drop both end samples: take the
+        # MIN_FIT_POINTS samples around the candidate by index instead
+        n = len(residual.abscissa)
+        i = int(np.searchsorted(residual.abscissa, window.center_guess))
+        start = min(max(i - MIN_FIT_POINTS // 2, 0), n - MIN_FIT_POINTS)
+        sel = slice(start, start + MIN_FIT_POINTS)
     x, y = residual.abscissa[sel], residual.counts[sel]
-    if len(x) < 7:
-        raise ValueError("window holds fewer than 7 points")
+    if len(x) < MIN_FIT_POINTS:
+        raise ValueError(f"window holds fewer than {MIN_FIT_POINTS} points")
 
     i0 = int(np.argmin(y))
     depth = max(float(-y[i0]), 1e-12)

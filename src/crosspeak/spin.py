@@ -249,6 +249,12 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
+# S=1 zero-field operator parts, formed as in hamiltonian_parts
+_SX1, _SY1, _SZ1 = spin_operators(1.0)
+_SZ2 = _SZ1 @ _SZ1
+_SXY = _SX1 @ _SX1 - _SY1 @ _SY1
+
+
 def hamiltonian_parts(
     species: SpinSpecies, axis, orientation: Orientation
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -612,6 +618,33 @@ def transitions(
     return out
 
 
+def probe_zeeman(species: SpinSpecies, axis, orientation: Orientation) -> np.ndarray:
+    """Zeeman part H1 (MHz per gauss) of a bare S=1 species along a unit
+    lab axis, the h1 that ``probe_frequencies`` takes."""
+    if species.S != 1.0 or species.nuclear is not None:
+        raise ValueError("probe frequencies require a bare S=1 species")
+    return hamiltonian_parts(species, axis, orientation)[1]
+
+
+def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) probe frequencies of a stack of bare S=1 Hamiltonians
+    from sorted eigenvalues, in one stacked eigensolve.
+
+    Row k is (d[k]*Sz^2 + e[k]*(Sx^2 - Sy^2)) + b[k]*h1[k], summed in the
+    order that ``hamiltonian_parts`` and ``build_hamiltonian`` use, so each
+    row equals the single-matrix result bit for bit.  d, e and b (MHz, MHz,
+    gauss) are scalars or length-n arrays; h1 is a stack (n, 3, 3) or
+    (1, 3, 3) of Zeeman parts from ``probe_zeeman``.  Valid while ms=0
+    stays the ground state, as for ``nv_probe_frequencies``.
+    """
+    def column(v):
+        return np.reshape(np.asarray(v, dtype=float), (-1, 1, 1))
+
+    h = (column(d) * _SZ2 + column(e) * _SXY) + column(b) * np.asarray(h1)
+    vals, _ = kernels.eigh_stack(h, compute_vectors=False)
+    return vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]
+
+
 def nv_probe_frequencies(
     species: SpinSpecies, field: MagneticField, orientation: Orientation
 ) -> tuple[float, float]:
@@ -620,11 +653,8 @@ def nv_probe_frequencies(
 
     Valid while ms=0 stays the ground state (fields well below the
     ground-state level anticrossing), where sorting equals tracking; used
-    on hot paths that need no labels.
+    on hot paths that need no labels.  A one-row ``probe_frequencies``.
     """
-    if species.S != 1.0 or species.nuclear is not None:
-        raise ValueError("probe frequencies require a bare S=1 species")
-    vals, _ = kernels.eigh(
-        build_hamiltonian(species, field, orientation), compute_vectors=False
-    )
-    return float(vals[1] - vals[0]), float(vals[2] - vals[0])
+    h1 = probe_zeeman(species, field.axis, orientation)
+    lower, upper = probe_frequencies(species.D, species.E, field.amplitude, h1[None])
+    return float(lower[0]), float(upper[0])

@@ -6,6 +6,12 @@ makes the two branches meet exactly at B*.  The error budget propagates
 four independent sources through the same inversion: the dip-center fit,
 the field calibration, the residual field-axis misalignment, and the NV
 reference D itself.
+
+All inversions of one budget (the center, the perturbed fits,
+calibrations and NV references, and every tilt azimuth and orientation
+pair) are bisected together: the Zeeman parts are built once per
+(species, orientation, axis) and each bisection step is one stacked
+eigensolve over every open bracket (``roots.bisect``).
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .roots import bisect
 from .spectrum import NoSolutionError, PeakFit
-from .spin import MagneticField, Orientation, SpinSpecies, nv_probe_frequencies
+from .spin import Orientation, SpinSpecies, probe_frequencies, probe_zeeman
 
 D_SEARCH_RANGE = (2000.0, 3000.0)
 D_BISECT_TOL = 1e-3  # MHz; well under the 0.01 MHz contract
@@ -39,54 +46,6 @@ class ZfsEstimate:
         return cls(D=d, sigma_D=sigma, contributions=dict(contributions))
 
 
-def _branch_freq(
-    species: SpinSpecies, b: float, axis: np.ndarray, orientation: Orientation, idx: int
-) -> float:
-    return nv_probe_frequencies(species, MagneticField(b, axis), orientation)[idx]
-
-
-def _solve_d(
-    nv: SpinSpecies,
-    b_star: float,
-    axis: np.ndarray,
-    nv_branch: int,
-    tgt_branch: int,
-    nv_orientation: Orientation,
-    tgt_orientation: Orientation,
-    gamma_e: float,
-    d_range: tuple[float, float],
-    nv_d: float | None = None,
-) -> float:
-    """D of a bare S=1 target whose branch meets the NV branch at b_star."""
-    probe = nv if nv_d is None else SpinSpecies(
-        name=nv.name, S=1.0, D=nv_d, E=nv.E, gamma_e=nv.gamma_e,
-        orientation_kind=nv.orientation_kind,
-    )
-    f_nv = _branch_freq(probe, b_star, axis, nv_orientation, nv_branch)
-
-    def gap(d: float) -> float:
-        target = SpinSpecies(name="target", S=1.0, D=d, gamma_e=gamma_e)
-        return _branch_freq(target, b_star, axis, tgt_orientation, tgt_branch) - f_nv
-
-    lo, hi = d_range
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo < 0) == (g_hi < 0):
-        raise NoSolutionError(
-            f"no D in [{lo}, {hi}] MHz places that crossing at {b_star:.3f} G"
-        )
-    while hi - lo > D_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if (gap(mid) < 0) == (g_lo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _tilted(axis: np.ndarray, tilt_rad: float, azimuth: float) -> np.ndarray:
     """Unit axis tilted away from ``axis`` by tilt_rad toward the given
     azimuth in the plane transverse to it."""
@@ -100,6 +59,13 @@ def _tilted(axis: np.ndarray, tilt_rad: float, azimuth: float) -> np.ndarray:
         np.cos(azimuth) * e1 + np.sin(azimuth) * e2
     )
     return t / np.linalg.norm(t)
+
+
+def _non_negative(name: str, value) -> float:
+    value = float(value)
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def infer_zfs(
@@ -122,14 +88,28 @@ def infer_zfs(
     gauss, axis tilt in degrees over the worst azimuth and orientation
     pair, NV reference D) is propagated by re-solving the inversion at
     the perturbed input; the four resulting shifts combine in quadrature.
+
+    Every inversion is a bisection for D over ``d_range`` to within
+    D_BISECT_TOL, and all of them run together as one stacked
+    bracket-and-bisect: about 22 stacked eigensolves of at most 135
+    matrices for the full budget.  The center and every fit, calibration
+    and NV-reference perturbation must have a crossing in ``d_range``
+    (NoSolutionError otherwise); tilted class pairs without one are
+    skipped.  The center and the four uncertainties must be finite and
+    >= 0 (ValueError otherwise).
     """
     if isinstance(peak, PeakFit):
         center = peak.center
         if fit_sigma is None:
             fit_sigma = peak.center_sigma
     else:
-        center = float(peak)
-        fit_sigma = 0.0 if fit_sigma is None else float(fit_sigma)
+        center = peak
+        fit_sigma = 0.0 if fit_sigma is None else fit_sigma
+    center = _non_negative("center", center)
+    fit_sigma = _non_negative("fit_sigma", fit_sigma)
+    cal_uncertainty = _non_negative("cal_uncertainty", cal_uncertainty)
+    angle_uncertainty = _non_negative("angle_uncertainty", angle_uncertainty)
+    nv_d_sigma = _non_negative("nv_d_sigma", nv_d_sigma)
     nv_label, tgt_label = assumed_crossing
     try:
         nv_branch = _BRANCH_INDEX[nv_label]
@@ -140,49 +120,60 @@ def infer_zfs(
     axis = axis / np.linalg.norm(axis)
     if gamma_e is None:
         gamma_e = nv.gamma_e
+    target = SpinSpecies(name="target", S=1.0, D=d_range[0], gamma_e=gamma_e)
 
-    nv_orient = nv.orientations()
+    # one job per inversion: (budget term, field, NV reference D, axis,
+    # NV orientation, target orientation); axis 0 is the nominal one
+    axes = [axis]
+    jobs = [("center", center, nv.D, 0, 0, 0)]
+    for term, sigma in (("fit", fit_sigma), ("calibration", cal_uncertainty)):
+        if sigma > 0:
+            jobs += [(term, center + sigma, nv.D, 0, 0, 0),
+                     (term, max(center - sigma, 0.0), nv.D, 0, 0, 0)]
+    if nv_d_sigma > 0:
+        jobs += [("nv_reference", center, nv.D + nv_d_sigma, 0, 0, 0),
+                 ("nv_reference", center, nv.D - nv_d_sigma, 0, 0, 0)]
+    nv_orients = nv.orientations()
     tgt_orients = Orientation.all_classes()
-    o_nv, o_tgt = nv_orient[0], tgt_orients[0]
-
-    def solve(b: float, ax: np.ndarray, onv, otgt, nv_d=None) -> float:
-        return _solve_d(
-            nv, b, ax, nv_branch, tgt_branch, onv, otgt, gamma_e, d_range, nv_d
-        )
-
-    d0 = solve(center, axis, o_nv, o_tgt)
-
-    contributions: dict[str, float] = {}
-    contributions["fit"] = (
-        max(abs(solve(center + fit_sigma, axis, o_nv, o_tgt) - d0),
-            abs(solve(max(center - fit_sigma, 0.0), axis, o_nv, o_tgt) - d0))
-        if fit_sigma > 0 else 0.0
-    )
-    contributions["calibration"] = (
-        max(abs(solve(center + cal_uncertainty, axis, o_nv, o_tgt) - d0),
-            abs(solve(max(center - cal_uncertainty, 0.0), axis, o_nv, o_tgt) - d0))
-        if cal_uncertainty > 0 else 0.0
-    )
-    contributions["nv_reference"] = (
-        max(abs(solve(center, axis, o_nv, o_tgt, nv_d=nv.D + nv_d_sigma) - d0),
-            abs(solve(center, axis, o_nv, o_tgt, nv_d=nv.D - nv_d_sigma) - d0))
-        if nv_d_sigma > 0 else 0.0
-    )
-
     # Worst-case tilt: the dip's class pair is unknown once the axis is
     # off [100], so scan azimuths and all orientation pairings.
-    angle = 0.0
     if angle_uncertainty > 0:
         tilt = np.deg2rad(angle_uncertainty)
         for k in range(N_TILT_AZIMUTHS):
-            ax_t = _tilted(axis, tilt, 2 * np.pi * k / N_TILT_AZIMUTHS)
-            for onv in nv_orient:
-                for otgt in tgt_orients:
-                    try:
-                        d_t = solve(center, ax_t, onv, otgt)
-                    except NoSolutionError:
-                        continue
-                    angle = max(angle, abs(d_t - d0))
-    contributions["angle"] = angle
+            axes.append(_tilted(axis, tilt, 2 * np.pi * k / N_TILT_AZIMUTHS))
+            jobs += [("angle", center, nv.D, len(axes) - 1, i, j)
+                     for i in range(len(nv_orients)) for j in range(len(tgt_orients))]
+    terms, b, nv_d, ax, i_nv, i_tgt = zip(*jobs)
+    b, nv_d = np.array(b), np.array(nv_d)
 
+    def zeeman(species, orients, keys):
+        built = {key: probe_zeeman(species, axes[key[0]], orients[key[1]])
+                 for key in dict.fromkeys(keys)}
+        return np.array([built[key] for key in keys])
+
+    nv_h1 = zeeman(nv, nv_orients, list(zip(ax, i_nv)))
+    tgt_h1 = zeeman(target, tgt_orients, list(zip(ax, i_tgt)))
+    f_nv = probe_frequencies(nv_d, nv.E, b, nv_h1)[nv_branch]
+
+    def gap(d, rows):
+        f_tgt = probe_frequencies(d, target.E, b[rows], tgt_h1[rows])[tgt_branch]
+        return f_tgt - f_nv[rows]
+
+    lo, hi = d_range
+    n = len(jobs)
+    g_ends = gap(np.repeat([lo, hi], n), np.tile(np.arange(n), 2))
+    roots = bisect(gap, np.full(n, lo), np.full(n, hi), g_ends[:n], g_ends[n:],
+                   D_BISECT_TOL).tolist()
+
+    d0 = roots[0]
+    contributions = dict.fromkeys(("fit", "calibration", "nv_reference", "angle"), 0.0)
+    for term, b_k, d_k in zip(terms, b, roots):
+        if np.isnan(d_k):
+            if term == "angle":
+                continue
+            raise NoSolutionError(
+                f"no D in [{lo}, {hi}] MHz places that crossing at {b_k:.3f} G"
+            )
+        if term != "center":
+            contributions[term] = max(contributions[term], abs(d_k - d0))
     return ZfsEstimate.combine(d0, contributions)

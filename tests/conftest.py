@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crosspeak
 from crosspeak.catalog import load_catalog
 
 
@@ -37,3 +41,12 @@ def nv13c(catalog):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a child interpreter that imports this package from
+    where the tests import it (an installed copy is not needed)."""
+    src = str(Path(crosspeak.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))

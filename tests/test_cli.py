@@ -5,6 +5,8 @@ observable without spawning interpreters.
 """
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,27 @@ def test_invert_out_of_domain(tmp_path, capsys):
     assert "no D in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--center", "nan", "center"),
+        ("--center", "inf", "center"),
+        ("--center", "-1", "center"),
+        ("--angle-sigma", "nan", "angle_uncertainty"),
+        ("--fit-sigma", "nan", "fit_sigma"),
+        ("--cal-sigma", "-1", "cal_uncertainty"),
+        ("--nv-d-sigma", "inf", "nv_d_sigma"),
+    ],
+)
+def test_invert_rejects_bad_input(tmp_path, capsys, flag, value, name):
+    argv = ["invert", "--outdir", tmp_path, f"{flag}={value}"]
+    if flag != "--center":
+        argv.append("--center=54.2522")
+    assert run(argv) == 2
+    assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "zfs.json").exists()
+
+
 # ------------------------------------------------------------------ map
 
 def test_map_outputs(tmp_path, capsys):
@@ -206,6 +229,29 @@ def test_map_outputs(tmp_path, capsys):
     meta = json.loads((tmp_path / "map_meta.json").read_text())
     assert meta["grid"]["n_phi"] == 11
     assert (tmp_path / "loci.csv").exists()
+
+
+# -------------------------------------------------------------- process
+
+def test_two_calls_in_one_process_match_separate_runs(tmp_path, package_env):
+    # the parser is built once per process; a second call with another
+    # subcommand must not see anything the first one parsed
+    calls = {
+        "predict": (["predict", "--species", "NV", "--axis", "111",
+                     "--range", "0:20:0.5"], "curves_NV.csv"),
+        "invert": (["invert", "--center", "54.2522"], "zfs.json"),
+    }
+    for name, (argv, _) in calls.items():
+        assert run(argv + ["--outdir", tmp_path / "same" / name]) == 0
+    for name, (argv, output) in calls.items():
+        outdir = tmp_path / "fresh" / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosspeak.cli", *argv, "--outdir", str(outdir)],
+            env=package_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = (outdir / output).read_bytes()
+        assert (tmp_path / "same" / name / output).read_bytes() == fresh
 
 
 # ----------------------------------------------------------- diagnostics

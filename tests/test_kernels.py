@@ -1,6 +1,5 @@
 """Eigensolver backend contract: compiled kernel vs numpy, dims 1..8."""
 
-import os
 import subprocess
 import sys
 
@@ -90,14 +89,14 @@ def test_compiled_kernel_rejects_oversize(rng):
         _kernels.eigh_stack(random_hermitian(rng, 2, 9))
 
 
-def test_pure_py_env_forces_fallback():
+def test_pure_py_env_forces_fallback(package_env):
     code = (
         "from crosspeak import kernels; import numpy as np; "
         "print(kernels.BACKEND); "
         "v, _ = kernels.eigh(np.array([[0.0, 2.0], [2.0, 0.0]])); "
         "assert np.allclose(v, [-2.0, 2.0])"
     )
-    env = dict(os.environ, CROSSPEAK_PURE_PY="1")
+    env = dict(package_env, CROSSPEAK_PURE_PY="1")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )

@@ -372,3 +372,53 @@ def test_analyze_scan_explicit_windows(rng):
     )
     assert [w.bounds for w in report.windows] != []
     assert len(report.peaks) == 3
+
+
+def test_floor_width_window_keeps_seven_samples():
+    # a window at the width floor spans +-3 samples; rounding of its
+    # bounds must not leave fewer than 7 for the fit
+    x = np.linspace(0.0, 145.0, 1200)
+    dx = float(np.mean(np.diff(x)))
+    y = dip_profile(x, x[600], 0.3 * dx, 5.0)
+    window = PeakWindow(x[600] - 3 * dx * (1 + 1e-12), x[600] + 3 * dx * (1 - 1e-12),
+                        float(x[600]), dx, 5.0)
+    assert np.count_nonzero((x >= window.lo) & (x <= window.hi)) < 7
+    fit = fit_gaussian(Spectrum(x, y, AbscissaKind.FIELD), window)
+    assert abs(fit.center - x[600]) < dx
+
+
+def test_voltage_scan_with_narrow_noise_candidate(nv):
+    # A 1,200-point voltage scan whose baseline residual has a noise
+    # wiggle inside the third dip that is detected, at threshold 5, as a
+    # window at the width floor; float rounding of that window's bounds
+    # used to drop both end samples and abort the scan with "window holds
+    # fewer than 7 points".
+    rng = np.random.default_rng([7, 4431])
+    offset, slope = rng.uniform(-2.0, 2.0), rng.uniform(18.0, 24.0)
+    dips = [(rng.uniform(lo, hi), depth, sigma) for (lo, hi), (depth, sigma) in zip(
+        ((18.0, 30.0), (45.0, 75.0), (95.0, 128.0)),
+        ((0.015, 1.0), (0.012, 1.2), (0.010, 1.5)))]
+    rng.uniform(0.2, 1.8, size=4)  # the fiducial draws, fixed below
+    volts = np.linspace(-offset / slope, (145.0 - offset) / slope, 1200)
+    b = offset + slope * volts
+    u = b / 145.0
+    model = 1.0e6 * (1.0 + 0.02 * u - 0.015 * u**2 + 0.004 * u**4)
+    for center, depth, sigma in dips:
+        model *= 1.0 - depth * np.exp(-((b - center) ** 2) / (2 * sigma**2))
+    counts = rng.poisson(model).astype(float)
+    fiducials = [
+        (0.46134448418643786, 2887.1685415396364),
+        (2.375215824538673, 2960.2189341300245),
+        (4.2624890457402165, 3041.0433375674465),
+        (6.128083759837629, 3129.329029148267),
+    ]
+    report = analyze_scan(
+        Spectrum(volts, counts, AbscissaKind.VOLTAGE), fiducials, nv, AX_100, k=5.0
+    )
+    def matches(peak):
+        return any(abs(peak.center - c) < sigma / 5.0 for c, _, sigma in dips)
+
+    for center, _, sigma in dips:
+        assert any(abs(p.center - center) < sigma / 5.0 for p in report.peaks)
+    # a reported dip that is none of the true ones must carry a flag
+    assert all(p.flags for p in report.peaks if not matches(p))

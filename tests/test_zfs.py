@@ -115,3 +115,36 @@ def test_inversion_monotone_in_field(nv):
         for b in (40.0, 60.0, 80.0)
     ]
     assert d_at[0] > d_at[1] > d_at[2]
+
+
+def test_full_budget_is_a_few_stacked_solves(nv, monkeypatch):
+    # every inversion of the budget is bisected together: no single-matrix
+    # eigensolve, and one stacked solve per bisection step plus the ends
+    from crosspeak import kernels
+
+    calls = {"eigh": 0, "eigh_stack": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "eigh", counted("eigh", kernels.eigh))
+    monkeypatch.setattr(kernels, "eigh_stack", counted("eigh_stack", kernels.eigh_stack))
+    est = infer_zfs(54.2522, cal_uncertainty=1.0, angle_uncertainty=0.5, nv=nv,
+                    fit_sigma=1.0)
+    assert all(v > 0 for v in est.contributions.values())
+    assert calls["eigh"] == 0
+    assert 0 < calls["eigh_stack"] <= 25
+
+
+def test_rejects_non_finite_or_negative_inputs(nv):
+    good = dict(cal_uncertainty=1.0, angle_uncertainty=0.5, nv=nv, fit_sigma=1.0)
+    for center in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="center must be finite"):
+            infer_zfs(center, **good)
+    for name in ("cal_uncertainty", "angle_uncertainty", "fit_sigma", "nv_d_sigma"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                infer_zfs(54.2522, **{**good, name: bad})

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .roots import bisect
 from .spin import (
     LevelTrack,
     ManifoldRule,
@@ -46,7 +47,7 @@ class SweepSpec:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:
             raise ValueError("sweep axis must be a unit 3-vector")
         if not (self.b_min < self.b_max):
             raise ValueError("require B_min < B_max")
@@ -171,38 +172,21 @@ class CrossingEvent:
     slope_gap: float
 
 
-def _bisect_root(diff: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = diff(lo)
-    for _ in range(200):
-        if hi - lo <= BISECT_TOL_G:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = diff(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def _pair_events(ca: TransitionCurve, cb: TransitionCurve) -> list[CrossingEvent]:
     g = ca.f - cb.f
     if np.max(np.abs(g)) < GRID_ZERO_TOL:
         # identical curves: degenerate everywhere, no transversal crossing
         return []
 
-    def diff(b: float) -> float:
-        return ca.freq_at(b) - cb.freq_at(b)
+    def gap(x, rows):
+        return [ca.freq_at(b) - cb.freq_at(b) for b in x]
 
     roots: list[float] = []
     on_grid = np.abs(g) <= GRID_ZERO_TOL
     roots.extend(ca.B[on_grid])
     s = np.sign(g)
-    change = (s[:-1] * s[1:]) < 0
-    for k in np.flatnonzero(change):
-        roots.append(_bisect_root(diff, float(ca.B[k]), float(ca.B[k + 1])))
+    k = np.flatnonzero((s[:-1] * s[1:]) < 0)
+    roots.extend(bisect(gap, ca.B[k], ca.B[k + 1], g[k], g[k + 1], BISECT_TOL_G))
 
     roots.sort()
     events: list[CrossingEvent] = []

@@ -225,6 +225,8 @@ def read_scan_csv(path: str | Path, kind: str | None = None) -> Spectrum:
         data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed scan row: {exc}") from None
+    # a file of blank rows parses to no rows at all; Spectrum rejects it as short
+    data = data.reshape(-1, 2)
     return Spectrum(data[:, 0], data[:, 1], AbscissaKind(kind), metadata)
 
 

@@ -1,41 +1,24 @@
-"""Eigensolver backend selection.
+"""Stacked Hermitian eigensolver on numpy's LAPACK path.
 
-At import time the compiled Jacobi kernel is preferred; the numpy
-implementation is the fallback and can be forced with the environment
-variable ``CROSSPEAK_PURE_PY=1``.  Both backends share the ``eigh_stack``
-contract (ascending eigenvalues, orthonormal column eigenvectors).
+``eigh_stack`` returns ascending eigenvalues and orthonormal column
+eigenvectors for a stack of matrices; ``eigh`` is its single-matrix form.
 """
-
-import os
 
 import numpy as np
 
-from . import _kernels_py
-
-# the compiled kernel handles d <= 8 but only beats the LAPACK path on
-# the small matrices that dominate sweeps; benchmarks/bench_kernels.py
-# puts the crossover between 4x4 and 5x5
-_COMPILED_PREFERRED_DIM = 4
-
-if os.environ.get("CROSSPEAK_PURE_PY", "") not in ("", "0"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-
 
 def eigh_stack(h, compute_vectors=True):
-    """Eigendecompose a stack (n, d, d) of Hermitian matrices."""
-    h = np.asarray(h)
-    if _impl is not _kernels_py and h.shape[-1] > _COMPILED_PREFERRED_DIM:
-        return _kernels_py.eigh_stack(h, compute_vectors)
-    return _impl.eigh_stack(h, compute_vectors)
+    """Eigendecompose a stack (n, d, d) of Hermitian matrices.
+
+    Returns (vals, vecs): ascending eigenvalues (n, d) and column
+    eigenvectors (n, d, d), vecs None when compute_vectors is False.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    if compute_vectors:
+        return np.linalg.eigh(h)
+    return np.linalg.eigvalsh(h), None
 
 
 def eigh(h, compute_vectors=True):

@@ -14,11 +14,9 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.ndimage import median_filter
-from scipy.signal import find_peaks
 
 from .roots import bisect, first_crossing
-from .spin import Orientation, SpinSpecies, probe_frequencies, probe_zeeman
+from .spin import Orientation, SpinSpecies, _unit, probe_frequencies, probe_zeeman
 
 # robust sigma from the median absolute deviation of a normal sample
 MAD_SIGMA = 1.4826
@@ -63,6 +61,8 @@ class Spectrum:
             raise ValueError("abscissa and counts must be equal-length 1-d arrays")
         if len(x) < 16:
             raise ValueError("a scan needs at least 16 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("abscissa and counts must be finite")
         dx = np.diff(x)
         if np.all(dx < 0):
             x, y = x[::-1].copy(), y[::-1].copy()
@@ -181,8 +181,7 @@ def field_for_frequency(
     """
     if orientation is None:
         orientation = nv.orientations()[0]
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = _unit(axis)
     h1 = probe_zeeman(nv, axis, orientation)
     b = _probe_fields(nv, h1, [frequency], b_max, tol)[0]
     if np.isnan(b):
@@ -209,8 +208,7 @@ def calibrate(
     fid = np.asarray(fiducials, dtype=float)
     if fid.ndim != 2 or fid.shape[1] != 2 or fid.shape[0] < 2:
         raise ValueError("need at least 2 (voltage, frequency) fiducials")
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = _unit(axis)
     h1 = np.array([probe_zeeman(nv, axis, o) for o in nv.orientations()])
     volts, freqs = fid[:, 0], fid[:, 1]
     fields = _probe_fields(nv, h1[0], freqs, CALIBRATION_B_MAX, CALIBRATION_TOL)
@@ -292,6 +290,10 @@ def detect_peaks(residual: Spectrum, k: float = DETECT_K) -> list[PeakWindow]:
     spawning extra windows.  Windows span +-3 estimated widths; windows
     cut short by the scan edge carry the "edge-truncated" flag.
     """
+    # imported here, not at module level: only `fit` needs scipy.signal,
+    # and it costs more at startup than the rest of the package
+    from scipy.signal import find_peaks
+
     x, r = residual.abscissa, residual.counts
     sigma = MAD_SIGMA * float(np.median(np.abs(r - np.median(r))))
     if sigma == 0.0:
@@ -497,6 +499,8 @@ def analyze_scan(
     first pass locates the bumps, the second pass refits the baseline
     with those regions excluded.
     """
+    from scipy.ndimage import median_filter
+
     calibration = None
     if spectrum.kind is AbscissaKind.VOLTAGE:
         if fiducials is None or nv is None or axis is None:

@@ -80,6 +80,8 @@ class ManifoldRule(str, Enum):
 
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError("direction must be a finite 3-vector")
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("zero vector has no direction")
@@ -99,7 +101,7 @@ class MagneticField:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise ValueError("axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("axis must have unit norm (within 1e-12)")
         axis = axis.copy()
         axis.flags.writeable = False

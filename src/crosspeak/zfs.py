@@ -22,7 +22,7 @@ import numpy as np
 
 from .roots import bisect
 from .spectrum import NoSolutionError, PeakFit
-from .spin import Orientation, SpinSpecies, probe_frequencies, probe_zeeman
+from .spin import Orientation, SpinSpecies, _unit, probe_frequencies, probe_zeeman
 
 D_SEARCH_RANGE = (2000.0, 3000.0)
 D_BISECT_TOL = 1e-3  # MHz; well under the 0.01 MHz contract
@@ -116,8 +116,7 @@ def infer_zfs(
         tgt_branch = _BRANCH_INDEX[tgt_label]
     except KeyError as exc:
         raise ValueError(f"unknown probe branch label {exc.args[0]!r}") from None
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = _unit(axis)
     if gamma_e is None:
         gamma_e = nv.gamma_e
     target = SpinSpecies(name="target", S=1.0, D=d_range[0], gamma_e=gamma_e)

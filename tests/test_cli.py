@@ -159,6 +159,37 @@ def test_fit_missing_scan(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_fit_blank_rows_is_input_error(tmp_path, capsys):
+    scan = tmp_path / "blank.csv"
+    scan.write_text("field_G,counts\n\n\n\n")
+    assert run(["fit", scan, "--outdir", tmp_path]) == 2
+    assert "at least 16 points" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_fit_nan_count_is_input_error(tmp_path, scan_file, capsys):
+    lines = scan_file.read_text().splitlines()
+    x, _ = lines[100].split(",")
+    lines[100] = f"{x},nan"
+    scan_file.write_text("\n".join(lines) + "\n")
+    assert run(["fit", scan_file, "--outdir", tmp_path]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_import_leaves_scan_filters_unloaded(package_env):
+    # crossings, invert and map never need scipy.signal or scipy.ndimage
+    code = (
+        "import sys, crosspeak.cli; "
+        "print(sorted({'scipy.signal', 'scipy.ndimage'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --------------------------------------------------------------- invert
 
 def test_invert_center(tmp_path, capsys):

@@ -34,6 +34,8 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(axis=np.array([1.0, 1.0, 0.0]), b_min=0.0, b_max=10.0)
     with pytest.raises(ValueError):
+        SweepSpec(axis=np.array([np.nan, 0.0, 0.0]), b_min=0.0, b_max=10.0)
+    with pytest.raises(ValueError):
         SweepSpec(axis=AX_100, b_min=10.0, b_max=10.0)
     with pytest.raises(ValueError):
         SweepSpec(axis=AX_100, b_min=0.0, b_max=10.0, step=-1.0)

@@ -1,10 +1,11 @@
 """Byte-for-byte golden outputs of the CLI.
 
 The files in ``tests/golden/`` were written by the package while it still
-solved the error budget and the calibration with scalar bisection loops
-(one Hamiltonian build and one eigensolve per probe).  The stacked
-bracket-and-bisect that replaced them must reproduce every byte.  The
-inputs are regenerated here from fixed seeds and literal fiducials.
+solved the error budget, the calibration and the crossing refinement with
+scalar bisection loops (one Hamiltonian build and one eigensolve per
+probe).  The stacked bracket-and-bisect that replaced them must reproduce
+every byte.  The inputs are regenerated here from fixed seeds and literal
+fiducials.
 """
 
 from pathlib import Path
@@ -68,12 +69,27 @@ def fit_voltage(tmp: Path, axis: str) -> dict[str, bytes]:
     }
 
 
+def crossings(tmp: Path, name: str, argv) -> dict[str, bytes]:
+    run(["crossings", *argv, "--outdir", tmp])
+    return {
+        f"{name}.crossings.csv": (tmp / "crossings.csv").read_bytes(),
+        f"{name}.crossings.json": (tmp / "crossings.json").read_bytes(),
+    }
+
+
 CASES = {
     "invert_center": invert_center,
     "invert_report": invert_report,
     "fit_voltage_100": lambda tmp: fit_voltage(tmp, "100"),
     # off [100] the classes split, so calibration flags "class-ambiguous"
     "fit_voltage_111": lambda tmp: fit_voltage(tmp, "111"),
+    "crossings_nv_vh": lambda tmp: crossings(
+        tmp, "crossings_nv_vh",
+        ["--a", "NV", "--b", "VH-", "--axis", "100", "--range", "15:145:0.1"],
+    ),
+    "crossings_p1_three_body": lambda tmp: crossings(
+        tmp, "crossings_p1_three_body", ["--p1-three-body", "--range", "0:250:0.1"]
+    ),
 }
 
 

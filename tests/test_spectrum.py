@@ -23,6 +23,8 @@ from crosspeak.spectrum import (
     fit_gaussian,
 )
 
+from crosspeak.zfs import infer_zfs
+
 from synth import BASE_LEVEL, DIPS, FIELD_SPAN, make_scan, quartic_envelope
 
 AX_100 = np.array([1.0, 0.0, 0.0])
@@ -50,6 +52,10 @@ def test_spectrum_validation():
     bad[7] = bad[6]
     with pytest.raises(ValueError):
         Spectrum(bad, np.zeros(16), AbscissaKind.FIELD)
+    counts = np.zeros(16)
+    counts[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(x, counts, AbscissaKind.FIELD)
 
 
 def test_spectrum_flips_descending():
@@ -178,6 +184,23 @@ def test_calibrate_input_validation(nv):
     volt_scan = Spectrum(x, np.ones(32), AbscissaKind.VOLTAGE)
     with pytest.raises(ValueError):
         calibrate(volt_scan, [(0.5, 2900.0)], nv, AX_100)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+@pytest.mark.parametrize("solver", ["infer_zfs", "field_for_frequency", "calibrate"])
+def test_axis_without_direction_rejected(nv, solver, axis):
+    # a clear input error up front, not LinAlgError from the eigensolver
+    volt_scan = Spectrum(np.linspace(0.0, 2.0, 32), np.ones(32), AbscissaKind.VOLTAGE)
+    calls = {
+        "infer_zfs": lambda: infer_zfs(54.0, 1.0, 0.5, nv, axis=axis),
+        "field_for_frequency": lambda: field_for_frequency(nv, axis, 2900.0),
+        "calibrate": lambda: calibrate(
+            volt_scan, [(0.5, 2900.0), (1.0, 3000.0)], nv, axis
+        ),
+    }
+    with pytest.raises(ValueError, match="direction") as err:
+        calls[solver]()
+    assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
 # --------------------------------------------------------------- baseline

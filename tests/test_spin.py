@@ -76,6 +76,8 @@ def test_field_validation():
         MagneticField(-1.0, AX_100)
     with pytest.raises(ValueError):
         MagneticField(1.0, np.array([1.0, 1.0, 0.0]))  # not unit norm
+    with pytest.raises(ValueError):
+        MagneticField(1.0, np.array([np.nan, 0.0, 0.0]))
     f = MagneticField.along([2, 0, 0], 10.0)
     assert np.allclose(f.vector, [10.0, 0.0, 0.0])
 

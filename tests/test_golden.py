@@ -4,8 +4,9 @@ The files in ``tests/golden/`` were written by the package while it still
 solved the error budget, the calibration and the crossing refinement with
 scalar bisection loops (one Hamiltonian build and one eigensolve per
 probe).  The stacked bracket-and-bisect that replaced them must reproduce
-every byte.  The inputs are regenerated here from fixed seeds and literal
-fiducials.
+every byte.  The ``map_*`` files were written while ``map`` still built
+its own Zeeman stack instead of going through ``spin.probe_frequencies``.
+The inputs are regenerated here from fixed seeds and literal fiducials.
 """
 
 from pathlib import Path
@@ -77,6 +78,14 @@ def crossings(tmp: Path, name: str, argv) -> dict[str, bytes]:
     }
 
 
+def map_case(tmp: Path, name: str, amplitude: str) -> dict[str, bytes]:
+    run(["map", "--steps", "51", "--amplitude", amplitude, "--outdir", tmp])
+    return {
+        f"{name}.{fname}": (tmp / fname).read_bytes()
+        for fname in ("map.csv", "map_meta.json", "loci.csv")
+    }
+
+
 CASES = {
     "invert_center": invert_center,
     "invert_report": invert_report,
@@ -90,6 +99,9 @@ CASES = {
     "crossings_p1_three_body": lambda tmp: crossings(
         tmp, "crossings_p1_three_body", ["--p1-three-body", "--range", "0:250:0.1"]
     ),
+    "map_115": lambda tmp: map_case(tmp, "map_115", "115"),
+    # off the 115 G default, with a fractional amplitude in the metadata
+    "map_127_3": lambda tmp: map_case(tmp, "map_127_3", "127.3"),
 }
 
 

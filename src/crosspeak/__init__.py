@@ -1,9 +1,8 @@
 """crosspeak: cross-relaxation resonance prediction and PL-scan analysis
 for spin defects in diamond."""
 
-from .catalog import load_catalog, load_species
+from .catalog import load_catalog
 from .spin import (
-    LabeledTransition,
     MagneticField,
     ManifoldRule,
     NuclearSpin,
@@ -14,13 +13,11 @@ from .spin import (
     eigensystem,
     spin_operators,
     track_levels,
-    transitions,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabeledTransition",
     "MagneticField",
     "ManifoldRule",
     "NuclearSpin",
@@ -30,9 +27,7 @@ __all__ = [
     "build_hamiltonian",
     "eigensystem",
     "load_catalog",
-    "load_species",
     "spin_operators",
     "track_levels",
-    "transitions",
     "__version__",
 ]

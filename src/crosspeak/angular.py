@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .spin import MagneticField, SpinSpecies, hamiltonian_parts, spin_operators
+from .spin import MagneticField, SpinSpecies, _unit, probe_frequencies, probe_zeeman
 
 DEFAULT_LINEWIDTH = 6.0  # MHz, FWHM; the NV decoherence scale
 DEFAULT_CONTRAST = 0.05
@@ -43,8 +42,7 @@ def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float
     phi about the lab y axis first, then theta about z."""
     if abs(phi) > 90 or abs(theta) > 90:
         raise ValueError("goniometer angles must satisfy |phi|, |theta| <= 90 deg")
-    ref = np.asarray(reference_axis, dtype=float)
-    ref = ref / np.linalg.norm(ref)
+    ref = _unit(reference_axis)
     axis = _rot_z(np.deg2rad(theta)) @ (_rot_y(np.deg2rad(phi)) @ ref)
     return MagneticField(amplitude, axis / np.linalg.norm(axis))
 
@@ -52,12 +50,8 @@ def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float
 def odmr_lines(field: MagneticField, nv: SpinSpecies, merge_tol: float = MERGE_TOL):
     """Probe frequencies over the four classes as (frequency, multiplicity),
     ascending, with lines closer than ``merge_tol`` merged."""
-    freqs = []
-    for orientation in nv.orientations():
-        h0, h1 = hamiltonian_parts(nv, field.axis, orientation)
-        vals, _ = kernels.eigh(h0 + field.amplitude * h1, compute_vectors=False)
-        freqs.extend([vals[1] - vals[0], vals[2] - vals[0]])
-    freqs.sort()
+    h1 = np.array([probe_zeeman(nv, field.axis, o) for o in nv.orientations()])
+    freqs = np.sort(np.concatenate(probe_frequencies(nv.D, nv.E, field.amplitude, h1)))
     merged: list[list[float]] = []
     for f in freqs:
         if merged and f - merged[-1][-1] <= merge_tol:
@@ -77,8 +71,9 @@ class AngleGrid:
     n_theta: int
 
     def __post_init__(self):
-        if self.phi_max <= 0 or self.theta_max <= 0:
-            raise ValueError("angle ranges must be positive")
+        # chained comparisons, so NaN fails each of them
+        if not (0 < self.phi_max < np.inf and 0 < self.theta_max < np.inf):
+            raise ValueError("angle ranges must be positive and finite")
         if self.n_phi < 3 or self.n_theta < 3:
             raise ValueError("need at least 3 steps per axis")
 
@@ -113,8 +108,7 @@ def _probe_freq_grid(
     nv: SpinSpecies, reference_axis, grid: AngleGrid, amplitude: float
 ) -> np.ndarray:
     """Probe frequencies f[i, j, class, branch] over the angle grid."""
-    ref = np.asarray(reference_axis, dtype=float)
-    ref = ref / np.linalg.norm(ref)
+    ref = _unit(reference_axis)
     phis = np.deg2rad(grid.phis)
     thetas = np.deg2rad(grid.thetas)
     cp, sp = np.cos(phis), np.sin(phis)
@@ -128,28 +122,13 @@ def _probe_freq_grid(
     ax[:, :, 1] = x1[:, None] * st[None, :] + y1[:, None] * ct[None, :]
     ax[:, :, 2] = z1[:, None]
 
-    out = np.empty((grid.n_phi, grid.n_theta, 4, 2))
-    orientations = nv.orientations()
     flat_axes = ax.reshape(-1, 3)
-    b = amplitude * flat_axes
-    for k, orientation in enumerate(orientations):
-        h0, _ = hamiltonian_parts(nv, np.array([0.0, 0.0, 1.0]), orientation)
-        # Zeeman part per defect-frame component, assembled for all points
-        sx, sy, sz = spin_operators(nv.S)
-        bd = b @ orientation.rotation  # defect-frame field components
-        h = (
-            h0[None, :, :]
-            + nv.gamma_e
-            * (
-                bd[:, 0, None, None] * sx[None]
-                + bd[:, 1, None, None] * sy[None]
-                + bd[:, 2, None, None] * sz[None]
-            )
-        )
-        vals, _ = kernels.eigh_stack(h, compute_vectors=False)
-        out[:, :, k, 0] = (vals[:, 1] - vals[:, 0]).reshape(grid.n_phi, grid.n_theta)
-        out[:, :, k, 1] = (vals[:, 2] - vals[:, 0]).reshape(grid.n_phi, grid.n_theta)
-    return out
+    per_class = [
+        probe_frequencies(nv.D, nv.E, amplitude, probe_zeeman(nv, flat_axes, orientation))
+        for orientation in nv.orientations()
+    ]
+    # (class, branch, point) -> (i, j, class, branch)
+    return np.moveaxis(np.array(per_class), 2, 0).reshape(grid.n_phi, grid.n_theta, -1, 2)
 
 
 def plane_loci(grid: AngleGrid) -> dict[str, np.ndarray]:
@@ -180,13 +159,19 @@ def simulate_map(
     sits at 1 - contrast.  Amplitude 0 degenerates every detuning and is
     flagged.
     """
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
+    # chained comparisons, so NaN fails each of them
+    if not 0 <= amplitude < np.inf:
+        raise ValueError("field amplitude must be finite and >= 0")
+    if not 0 < linewidth < np.inf:
+        raise ValueError("linewidth must be positive and finite")
+    if not 0 <= contrast <= 1:
+        raise ValueError("contrast must lie in [0, 1]")
     f = _probe_freq_grid(nv, reference_axis, grid, amplitude)
     hwhm = linewidth / 2.0
     raw = np.zeros((grid.n_phi, grid.n_theta))
-    for a in range(4):
-        for b in range(a + 1, 4):
+    n_cls = f.shape[2]
+    for a in range(n_cls):
+        for b in range(a + 1, n_cls):
             for br_a in range(2):
                 for br_b in range(2):
                     det = f[:, :, a, br_a] - f[:, :, b, br_b]

@@ -125,11 +125,3 @@ def load_catalog(path: str | Path | None = None) -> dict[str, SpinSpecies]:
         out[species.name] = species
     return out
 
-
-def load_species(name: str, path: str | Path | None = None) -> SpinSpecies:
-    catalog = load_catalog(path)
-    if name not in catalog:
-        raise CatalogError(
-            f"unknown species {name!r}; catalog has {', '.join(sorted(catalog))}"
-        )
-    return catalog[name]

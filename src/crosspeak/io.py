@@ -237,6 +237,8 @@ def read_fiducials_csv(path: str | Path) -> np.ndarray:
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header plus (voltage, frequency_MHz) rows")
     try:
-        return np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
+        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed fiducial row: {exc}") from None
+    # as in read_scan_csv: blank rows parse to an empty (0, 2) table
+    return data.reshape(-1, 2)

@@ -208,6 +208,8 @@ def calibrate(
     fid = np.asarray(fiducials, dtype=float)
     if fid.ndim != 2 or fid.shape[1] != 2 or fid.shape[0] < 2:
         raise ValueError("need at least 2 (voltage, frequency) fiducials")
+    if not np.all(np.isfinite(fid)):
+        raise ValueError("fiducial voltages and frequencies must be finite")
     axis = _unit(axis)
     h1 = np.array([probe_zeeman(nv, axis, o) for o in nv.orientations()])
     volts, freqs = fid[:, 0], fid[:, 1]

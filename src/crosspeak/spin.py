@@ -153,17 +153,6 @@ class Orientation:
         """Defect frame coincides with the lab frame."""
         return cls("lab", np.eye(3))
 
-    @classmethod
-    def from_axis(cls, axis, label: str = "custom") -> "Orientation":
-        """Any orthonormal completion of the given symmetry axis."""
-        z = _unit(axis)
-        ref = np.array([0.0, 0.0, 1.0])
-        if abs(z @ ref) > 0.9:
-            ref = np.array([1.0, 0.0, 0.0])
-        x = _unit(ref - (ref @ z) * z)
-        y = np.cross(z, x)
-        return cls(label, np.column_stack([x, y, z]))
-
     def rotated(self, rot) -> "Orientation":
         """This orientation rigidly rotated by ``rot`` in the lab frame."""
         return Orientation(self.label, np.asarray(rot, dtype=float) @ self.rotation)
@@ -251,7 +240,7 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-# S=1 zero-field operator parts, formed as in hamiltonian_parts
+# S=1 operators and zero-field parts, formed as in hamiltonian_parts
 _SX1, _SY1, _SZ1 = spin_operators(1.0)
 _SZ2 = _SZ1 @ _SZ1
 _SXY = _SX1 @ _SX1 - _SY1 @ _SY1
@@ -533,21 +522,6 @@ def track_levels(
     return track
 
 
-@dataclass(frozen=True)
-class LabeledTransition:
-    """A labelled transition frequency of one species at one field."""
-
-    species: str
-    orientation: str
-    from_state: str
-    to_state: str
-    frequency: float
-
-    @property
-    def pair_label(self) -> str:
-        return f"{self.from_state}>{self.to_state}"
-
-
 def transition_pairs(
     species: SpinSpecies, labels: tuple[str, ...], rule: ManifoldRule
 ) -> list[tuple[str, str]]:
@@ -584,48 +558,19 @@ def default_rule(species: SpinSpecies) -> ManifoldRule:
     return ManifoldRule.ALL_PAIRS
 
 
-def transitions(
-    species: SpinSpecies,
-    field: MagneticField,
-    orientation: Orientation,
-    rule: ManifoldRule,
-) -> list[LabeledTransition]:
-    """Labelled transition frequencies of one species at one field point.
-
-    Labels are anchored at B=0 and tracked up to the requested amplitude.
-    """
-    if field.amplitude == 0:
-        labels, vals, _ = anchor_labels(species)
-        track_labels, energies = labels, vals
-    else:
-        step = max(min(0.5, field.amplitude / 16), field.amplitude / 4096)
-        grid = np.arange(0.0, field.amplitude, step)
-        grid = np.append(grid, field.amplitude)
-        track = track_levels(species, orientation, field.axis, grid)
-        track_labels = track.labels
-        energies = track.energies[-1]
-    by_label = dict(zip(track_labels, energies))
-    out = []
-    for a, b in transition_pairs(species, track_labels, rule):
-        f = abs(by_label[b] - by_label[a])
-        out.append(
-            LabeledTransition(
-                species=species.name,
-                orientation=orientation.label,
-                from_state=a,
-                to_state=b,
-                frequency=float(f),
-            )
-        )
-    return out
-
-
 def probe_zeeman(species: SpinSpecies, axis, orientation: Orientation) -> np.ndarray:
-    """Zeeman part H1 (MHz per gauss) of a bare S=1 species along a unit
-    lab axis, the h1 that ``probe_frequencies`` takes."""
+    """Zeeman part H1 (MHz per gauss) of a bare S=1 species, the h1 that
+    ``probe_frequencies`` takes: (3, 3) for one unit lab axis (3,), a
+    stack (n, 3, 3) for unit axes (n, 3).  Equals ``hamiltonian_parts``'s
+    H1 bit for bit."""
     if species.S != 1.0 or species.nuclear is not None:
         raise ValueError("probe frequencies require a bare S=1 species")
-    return hamiltonian_parts(species, axis, orientation)[1]
+    b = np.asarray(axis, dtype=float) @ orientation.rotation  # defect frame
+    return species.gamma_e * (
+        b[..., 0, None, None] * _SX1
+        + b[..., 1, None, None] * _SY1
+        + b[..., 2, None, None] * _SZ1
+    )
 
 
 def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from crosspeak.angular import (
     plane_loci,
     simulate_map,
 )
+from crosspeak.spin import SpinSpecies
 
 REF = np.array([1.0, 0.0, 0.0])
 BODY_DIAGONALS = np.array(
@@ -192,6 +193,13 @@ def test_map_linewidth_validation(nv):
     grid = AngleGrid(phi_max=5.0, theta_max=5.0, n_phi=7, n_theta=7)
     with pytest.raises(ValueError):
         simulate_map(grid, 115.0, nv, linewidth=0.0)
+
+
+def test_map_single_class_species_is_flat():
+    # one lab-frame class has no second class to become degenerate with
+    toy = SpinSpecies(name="toy", S=1.0, D=1000.0, orientation_kind="lab")
+    grid = AngleGrid(phi_max=5.0, theta_max=5.0, n_phi=7, n_theta=7)
+    assert np.all(simulate_map(grid, 115.0, toy).pl_proxy == 1.0)
 
 
 def test_map_ridges_follow_loci(nv):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crosspeak.catalog import CatalogError, load_catalog, load_species
+from crosspeak.catalog import CatalogError, load_catalog
 
 
 def test_shipped_catalog_contents(catalog):
@@ -27,11 +27,6 @@ def test_orientation_kinds(catalog):
     for species in catalog.values():
         assert species.orientation_kind == "111"
         assert len(species.orientations()) == 4
-
-
-def test_load_species_unknown():
-    with pytest.raises(CatalogError, match="unknown species"):
-        load_species("unobtainium")
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -177,6 +177,23 @@ def test_fit_nan_count_is_input_error(tmp_path, scan_file, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("0.3,2900.0095\n1.0,nan\n", "must be finite"), ("\n\n", "at least 2")],
+    ids=["nan-frequency", "blank-rows"],
+)
+def test_fit_bad_fiducials_are_input_error(tmp_path, capsys, rows, message):
+    b, counts = make_scan(np.random.default_rng(11))
+    scan = tmp_path / "vscan.csv"
+    scan.write_text("voltage_V,counts\n" + "".join(
+        f"{x / 60.0:.9f},{c:.1f}\n" for x, c in zip(b, counts)))
+    fid = tmp_path / "fid.csv"
+    fid.write_text("voltage_V,frequency_MHz\n" + rows)
+    assert run(["fit", scan, "--fiducials", fid, "--outdir", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_import_leaves_scan_filters_unloaded(package_env):
     # crossings, invert and map never need scipy.signal or scipy.ndimage
     code = (
@@ -260,6 +277,26 @@ def test_map_outputs(tmp_path, capsys):
     meta = json.loads((tmp_path / "map_meta.json").read_text())
     assert meta["grid"]["n_phi"] == 11
     assert (tmp_path / "loci.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--contrast", "nan"], "contrast"),
+        (["--contrast", "-1"], "contrast"),
+        (["--linewidth", "inf"], "linewidth"),
+        (["--amplitude", "-5"], "amplitude"),
+        (["--amplitude", "nan"], "amplitude"),
+        (["--phi-max", "nan"], "angle ranges"),
+        (["--theta-max", "inf"], "angle ranges"),
+        (["--species", "P1"], "bare S=1"),
+    ],
+)
+def test_map_bad_input_is_usage_error(tmp_path, capsys, extra, message):
+    code = run(["map", "--steps", "11", "--outdir", tmp_path, *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "map_meta.json").exists()
 
 
 # -------------------------------------------------------------- process

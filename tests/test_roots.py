@@ -11,6 +11,7 @@ from crosspeak.spin import (
     Orientation,
     SpinSpecies,
     build_hamiltonian,
+    hamiltonian_parts,
     nv_probe_frequencies,
     probe_frequencies,
     probe_zeeman,
@@ -91,3 +92,17 @@ def test_probe_frequencies_equal_single_matrix_solves(catalog, rng):
                                        compute_vectors=False)
                 assert (lo, hi) == (vals[1] - vals[0], vals[2] - vals[0])
                 assert (lo, hi) == nv_probe_frequencies(sp, field, ori)
+
+
+def test_probe_zeeman_stack_equals_hamiltonian_parts(catalog, rng):
+    axes = rng.normal(size=(50, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    for name in ("NV", "VH-", "WAR1", "NV-2872"):
+        sp = catalog[name]
+        for ori in [*Orientation.all_classes(), Orientation.lab()]:
+            stack = probe_zeeman(sp, axes, ori)
+            assert stack.shape == (len(axes), 3, 3)
+            for axis, row in zip(axes, stack):
+                h1 = hamiltonian_parts(sp, axis, ori)[1]
+                assert np.array_equal(probe_zeeman(sp, axis, ori), h1)
+                assert np.max(np.abs(row - h1)) <= 1e-12

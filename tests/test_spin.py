@@ -28,7 +28,6 @@ from crosspeak.spin import (
     spin_operators,
     track_levels,
     transition_pairs,
-    transitions,
 )
 
 from oracles import eigvals_inertia, nv13c_matrix, zeeman_matrix_100_nv13c
@@ -221,6 +220,22 @@ def test_100_class_degeneracy(catalog, name):
             assert np.max(np.abs(vals - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
+def tracked_lines(species, amplitude, orientation, rule):
+    """(from, to, frequency) of each rule pair at one amplitude along [100],
+    with labels anchored at 0 G and tracked up to it in steps of at most 0.5 G
+    (and at least amplitude/4096)."""
+    if amplitude == 0:
+        labels, energies, _ = anchor_labels(species)
+    else:
+        step = max(min(0.5, amplitude / 16), amplitude / 4096)
+        grid = np.append(np.arange(0.0, amplitude, step), amplitude)
+        track = track_levels(species, orientation, AX_100, grid)
+        labels, energies = track.labels, track.energies[-1]
+    by_label = dict(zip(labels, energies))
+    return [(a, b, abs(by_label[b] - by_label[a]))
+            for a, b in transition_pairs(species, labels, rule)]
+
+
 # ------------------------------------------------- coupled-system oracles
 
 def test_nv13c_zero_field_vs_oracle(nv13c):
@@ -233,13 +248,10 @@ def test_nv13c_zero_field_vs_oracle(nv13c):
 
 
 def test_nv13c_20g_complex_split_vs_oracle(nv13c):
-    tr = transitions(
-        nv13c, MagneticField(20.0, AX_100), Orientation.nv_class(1),
-        ManifoldRule.COMPLEX_SPLIT,
-    )
+    tr = tracked_lines(nv13c, 20.0, Orientation.nv_class(1), ManifoldRule.COMPLEX_SPLIT)
     assert len(tr) == 8
-    lower = sorted(t.frequency for t in tr if manifold_of(t.to_state) == "ms=-1")
-    upper = sorted(t.frequency for t in tr if manifold_of(t.to_state) == "ms=+1")
+    lower = sorted(f for _, to, f in tr if manifold_of(to) == "ms=-1")
+    upper = sorted(f for _, to, f in tr if manifold_of(to) == "ms=+1")
     assert len(lower) == 4 and len(upper) == 4
     assert np.max(np.abs(np.array(lower) - NV13C_20G_LOWER)) < 2e-4
     assert np.max(np.abs(np.array(upper) - NV13C_20G_UPPER)) < 2e-4
@@ -287,20 +299,16 @@ def test_transition_rules(nv, p1, nv13c):
 
 
 def test_nv_probe_at_zero_field(nv):
-    tr = transitions(
-        nv, MagneticField(0.0, AX_100), Orientation.nv_class(1), ManifoldRule.NV_PROBE
-    )
+    tr = tracked_lines(nv, 0.0, Orientation.nv_class(1), ManifoldRule.NV_PROBE)
     assert len(tr) == 2
-    assert all(abs(t.frequency - 2870.0) < 1e-9 for t in tr)
-    assert {t.pair_label for t in tr} == {"ms=0>ms=-1", "ms=0>ms=+1"}
+    assert all(abs(f - 2870.0) < 1e-9 for _, _, f in tr)
+    assert {f"{a}>{b}" for a, b, _ in tr} == {"ms=0>ms=-1", "ms=0>ms=+1"}
 
 
 def test_p1_fifteen_transitions(p1):
-    tr = transitions(
-        p1, MagneticField(35.0, AX_100), Orientation.nv_class(1), ManifoldRule.ALL_PAIRS
-    )
+    tr = tracked_lines(p1, 35.0, Orientation.nv_class(1), ManifoldRule.ALL_PAIRS)
     assert len(tr) == 15
-    assert all(t.frequency >= 0 for t in tr)
+    assert all(f >= 0 for _, _, f in tr)
 
 
 def test_p1_zero_field_blocks(p1):
@@ -366,11 +374,8 @@ def test_energies_at_matches_grid(nv13c):
 def test_transitions_nonnegative_and_continuous(nv13c):
     prev = None
     for b in np.linspace(0.0, 40.0, 9):
-        tr = transitions(
-            nv13c, MagneticField(b, AX_100), Orientation.nv_class(1),
-            ManifoldRule.COMPLEX_SPLIT,
-        )
-        freqs = {t.pair_label: t.frequency for t in tr}
+        tr = tracked_lines(nv13c, b, Orientation.nv_class(1), ManifoldRule.COMPLEX_SPLIT)
+        freqs = {f"{a}>{to}": f for a, to, f in tr}
         assert all(f >= 0 for f in freqs.values())
         if prev is not None:
             for label, f in freqs.items():

@@ -6,6 +6,9 @@ scalar bisection loops (one Hamiltonian build and one eigensolve per
 probe).  The stacked bracket-and-bisect that replaced them must reproduce
 every byte.  The ``map_*`` files were written while ``map`` still built
 its own Zeeman stack instead of going through ``spin.probe_frequencies``.
+The ``crossings_nv_vh_1*``, ``crossings_nv_nv13c`` and ``predict_*`` files
+were written while level tracking matched each grid step in its own loop
+iteration and refinement solved one matrix per probe.
 The inputs are regenerated here from fixed seeds and literal fiducials.
 """
 
@@ -78,6 +81,13 @@ def crossings(tmp: Path, name: str, argv) -> dict[str, bytes]:
     }
 
 
+def predict(tmp: Path, name: str, argv) -> dict[str, bytes]:
+    run(["predict", *argv, "--outdir", tmp])
+    return {
+        f"{name}.{path.name}": path.read_bytes() for path in sorted(tmp.glob("curves_*.csv"))
+    }
+
+
 def map_case(tmp: Path, name: str, amplitude: str) -> dict[str, bytes]:
     run(["map", "--steps", "51", "--amplitude", amplitude, "--outdir", tmp])
     return {
@@ -98,6 +108,24 @@ CASES = {
     ),
     "crossings_p1_three_body": lambda tmp: crossings(
         tmp, "crossings_p1_three_body", ["--p1-three-body", "--range", "0:250:0.1"]
+    ),
+    # off [100] the four NV classes split into distinct curves
+    "crossings_nv_vh_111": lambda tmp: crossings(
+        tmp, "crossings_nv_vh_111",
+        ["--a", "NV", "--b", "VH-", "--axis", "111", "--range", "15:145:0.1"],
+    ),
+    "crossings_nv_vh_110": lambda tmp: crossings(
+        tmp, "crossings_nv_vh_110",
+        ["--a", "NV", "--b", "VH-", "--axis", "110", "--range", "15:145:0.1"],
+    ),
+    # 6x6 hyperfine levels of the coupled target
+    "crossings_nv_nv13c": lambda tmp: crossings(
+        tmp, "crossings_nv_nv13c",
+        ["--a", "NV", "--b", "NV-13C", "--axis", "100", "--range", "15:145:0.1"],
+    ),
+    "predict_nv13c_p1_111": lambda tmp: predict(
+        tmp, "predict_nv13c_p1_111",
+        ["--species", "NV-13C,P1", "--axis", "111", "--range", "0:145:1"],
     ),
     "map_115": lambda tmp: map_case(tmp, "map_115", "115"),
     # off the 115 G default, with a fractional amplitude in the metadata

@@ -18,6 +18,11 @@ from .spin import MagneticField, SpinSpecies, _unit, probe_frequencies, probe_ze
 DEFAULT_LINEWIDTH = 6.0  # MHz, FWHM; the NV decoherence scale
 DEFAULT_CONTRAST = 0.05
 MERGE_TOL = 0.1  # MHz; ODMR lines closer than this count as one
+# goniometer limit on |phi| and |theta|, degrees (see field_from_angles)
+MAX_ANGLE_DEG = 90.0
+# most grid points per angle axis: four times the 101 of the CLI default,
+# about 0.65 million 3x3 eigensolves over the four classes
+MAX_ANGLE_STEPS = 401
 
 PLANE_NORMALS = {
     "010": np.array([0.0, 1.0, 0.0]),
@@ -40,7 +45,7 @@ def _rot_z(a: float) -> np.ndarray:
 def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float) -> MagneticField:
     """Field tilted from ``reference_axis`` by goniometer angles (degrees):
     phi about the lab y axis first, then theta about z."""
-    if abs(phi) > 90 or abs(theta) > 90:
+    if abs(phi) > MAX_ANGLE_DEG or abs(theta) > MAX_ANGLE_DEG:
         raise ValueError("goniometer angles must satisfy |phi|, |theta| <= 90 deg")
     ref = _unit(reference_axis)
     axis = _rot_z(np.deg2rad(theta)) @ (_rot_y(np.deg2rad(phi)) @ ref)
@@ -72,10 +77,10 @@ class AngleGrid:
 
     def __post_init__(self):
         # chained comparisons, so NaN fails each of them
-        if not (0 < self.phi_max < np.inf and 0 < self.theta_max < np.inf):
-            raise ValueError("angle ranges must be positive and finite")
-        if self.n_phi < 3 or self.n_theta < 3:
-            raise ValueError("need at least 3 steps per axis")
+        if not (0 < self.phi_max <= MAX_ANGLE_DEG and 0 < self.theta_max <= MAX_ANGLE_DEG):
+            raise ValueError("angle ranges must be positive and at most 90 deg")
+        if not (3 <= self.n_phi <= MAX_ANGLE_STEPS and 3 <= self.n_theta <= MAX_ANGLE_STEPS):
+            raise ValueError(f"need 3 to {MAX_ANGLE_STEPS} steps per axis")
 
     @property
     def phis(self) -> np.ndarray:

@@ -44,7 +44,13 @@ def _require(entry: dict, key: str, where: str):
 def _number(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CatalogError(f"{where}: field {key!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = float("inf")
+    if not abs(number) < float("inf"):  # NaN fails the comparison too
+        raise CatalogError(f"{where}: field {key!r} must be finite, not {number}")
+    return number
 
 
 def _parse_nuclear(obj, where: str) -> NuclearSpin:
@@ -57,7 +63,12 @@ def _parse_nuclear(obj, where: str) -> NuclearSpin:
     I = _number(_require(obj, "I", where), "I", where)
     gamma_n = _number(_require(obj, "gamma_n_MHz_per_G", where), "gamma_n_MHz_per_G", where)
     a_raw = _require(obj, "A_MHz", where)
-    a = np.asarray(a_raw, dtype=float)
+    try:
+        a = np.asarray(a_raw, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        a = np.array([np.nan])  # ragged, not numeric, or beyond the float range
+    if not np.all(np.isfinite(a)):
+        raise CatalogError(f"{where}: field 'A_MHz' must hold finite numbers")
     if a.size != 9:
         raise CatalogError(f"{where}: A_MHz must hold 9 numbers (3x3 row-major)")
     try:
@@ -89,13 +100,16 @@ def _parse_entry(entry, index: int) -> SpinSpecies:
     nuclear = None
     if "nuclear" in entry and entry["nuclear"] is not None:
         nuclear = _parse_nuclear(entry["nuclear"], where)
+    gamma_e = _number(entry.get("gamma_e_MHz_per_G", GAMMA_E), "gamma_e_MHz_per_G", where)
+    if gamma_e <= 0:
+        raise CatalogError(f"{where}: field 'gamma_e_MHz_per_G' must be > 0")
     try:
         return SpinSpecies(
             name=name,
             S=_number(_require(entry, "S", where), "S", where),
             D=_number(_require(entry, "D_MHz", where), "D_MHz", where),
             E=_number(entry.get("E_MHz", 0.0), "E_MHz", where),
-            gamma_e=_number(entry.get("gamma_e_MHz_per_G", GAMMA_E), "gamma_e_MHz_per_G", where),
+            gamma_e=gamma_e,
             nuclear=nuclear,
             orientation_kind=orientation,
         )

@@ -34,6 +34,9 @@ FREQ_MATCH_TOL = 1e-3
 EVENT_MERGE_G = 0.05
 # |f_a - f_b| below this at a grid node counts as an exact on-grid root
 GRID_ZERO_TOL = 1e-9
+# most field points a sweep may track, counted as B_max / min(step, 0.5 G):
+# its grid plus the zero-field ramp (step <= 0.5 G) that track_levels adds
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +52,18 @@ class SweepSpec:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:
             raise ValueError("sweep axis must be a unit 3-vector")
+        for name in ("b_min", "b_max", "step"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"sweep {name} must be finite, not {getattr(self, name)}")
         if not (self.b_min < self.b_max):
             raise ValueError("require B_min < B_max")
         if self.step <= 0 or (self.b_max - self.b_min) / self.step < 2:
             raise ValueError("step must be > 0 with at least 2 steps in range")
         if self.b_min < 0:
             raise ValueError("field amplitudes are non-negative")
+        if self.b_max / min(self.step, 0.5) > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep exceeds the limit of {MAX_SWEEP_POINTS} field "
+                             "points, counted as B_max / min(step, 0.5 G)")
         axis = axis.copy()
         axis.flags.writeable = False
         object.__setattr__(self, "axis", axis)
@@ -88,7 +97,7 @@ class TransitionCurve:
     f: np.ndarray
     multiplicity: int = 1
     tracking_ok: bool = True
-    _freq_fn: Callable[[float], float] = dataclass_field(default=None, repr=False)
+    _freq_fn: Callable[[np.ndarray], np.ndarray] = dataclass_field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -98,21 +107,24 @@ class TransitionCurve:
     def samples(self) -> np.ndarray:
         return np.column_stack([self.B, self.f])
 
-    def freq_at(self, amplitude: float) -> float:
-        return float(self._freq_fn(amplitude))
+    def freq_at(self, amplitude):
+        """Frequency at one field amplitude or at each of an array of them,
+        re-evaluated on the exact Hamiltonian in one stacked call."""
+        return self._freq_fn(np.asarray(amplitude, dtype=float))
 
-    def slope_at(self, amplitude: float, h: float = 0.025) -> float:
-        lo = max(self.B[0], amplitude - h)
-        hi = min(self.B[-1], amplitude + h)
-        return (self.freq_at(hi) - self.freq_at(lo)) / (hi - lo)
+    def slope_at(self, amplitude, h: float = 0.025):
+        lo = np.maximum(self.B[0], amplitude - h)
+        hi = np.minimum(self.B[-1], amplitude + h)
+        f_hi, f_lo = self.freq_at(np.stack([hi, lo]))
+        return (f_hi - f_lo) / (hi - lo)
 
 
 def _curve_from_track(track: LevelTrack, a: str, b: str) -> TransitionCurve:
     i, j = track.index_of(a), track.index_of(b)
 
-    def freq(amplitude: float) -> float:
+    def freq(amplitude):
         e = track.energies_at(amplitude)
-        return abs(e[j] - e[i])
+        return np.abs(e[..., j] - e[..., i])
 
     return TransitionCurve(
         species=track.species.name,
@@ -179,37 +191,38 @@ def _pair_events(ca: TransitionCurve, cb: TransitionCurve) -> list[CrossingEvent
         return []
 
     def gap(x, rows):
-        return [ca.freq_at(b) - cb.freq_at(b) for b in x]
+        return ca.freq_at(x) - cb.freq_at(x)
 
-    roots: list[float] = []
-    on_grid = np.abs(g) <= GRID_ZERO_TOL
-    roots.extend(ca.B[on_grid])
     s = np.sign(g)
     k = np.flatnonzero((s[:-1] * s[1:]) < 0)
-    roots.extend(bisect(gap, ca.B[k], ca.B[k + 1], g[k], g[k + 1], BISECT_TOL_G))
-
-    roots.sort()
-    events: list[CrossingEvent] = []
-    last = None
-    for b_star in roots:
-        if last is not None and b_star - last <= EVENT_MERGE_G:
-            continue
-        last = b_star
-        fa, fb = ca.freq_at(b_star), cb.freq_at(b_star)
-        if abs(fa - fb) > FREQ_MATCH_TOL:
-            continue  # refinement failed to pin the root (steep anticrossing)
-        events.append(
-            CrossingEvent(
-                species_a=ca.species,
-                transition_a=ca.label,
-                species_b=cb.species,
-                transition_b=cb.label,
-                B_star=b_star,
-                f_star=0.5 * (fa + fb),
-                slope_gap=abs(ca.slope_at(b_star) - cb.slope_at(b_star)),
-            )
+    roots = np.sort(np.concatenate([
+        ca.B[np.abs(g) <= GRID_ZERO_TOL],
+        bisect(gap, ca.B[k], ca.B[k + 1], g[k], g[k + 1], BISECT_TOL_G),
+    ]))
+    if not roots.size:
+        return []
+    kept = roots[:1].tolist()
+    for b_star in roots[1:]:
+        if b_star - kept[-1] > EVENT_MERGE_G:
+            kept.append(b_star)
+    b = np.array(kept)
+    fa, fb = ca.freq_at(b), cb.freq_at(b)
+    # a root that refinement failed to pin (steep anticrossing) is dropped
+    ok = np.abs(fa - fb) <= FREQ_MATCH_TOL
+    b, fa, fb = b[ok], fa[ok], fb[ok]
+    slope_gaps = np.abs(ca.slope_at(b) - cb.slope_at(b))
+    return [
+        CrossingEvent(
+            species_a=ca.species,
+            transition_a=ca.label,
+            species_b=cb.species,
+            transition_b=cb.label,
+            B_star=b_star,
+            f_star=f_star,
+            slope_gap=slope_gap,
         )
-    return events
+        for b_star, f_star, slope_gap in zip(b, 0.5 * (fa + fb), slope_gaps)
+    ]
 
 
 def find_crossings(
@@ -244,25 +257,17 @@ def _nv_branch_difference_curve(
         raise ValueError("branch difference requires a bare S=1 probe")
     orientation = nv.orientations()[0]
     track = track_levels(nv, orientation, spec.axis, spec.grid)
-    i0 = track.index_of("ms=0")
-    im = track.index_of("ms=-1")
-    ip = track.index_of("ms=+1")
-
-    def freq(amplitude: float) -> float:
-        e = track.energies_at(amplitude)
-        return abs(e[ip] - e[i0]) - abs(e[im] - e[i0])
-
-    e = track.energies
-    f = np.abs(e[:, ip] - e[:, i0]) - np.abs(e[:, im] - e[:, i0])
+    lower = _curve_from_track(track, "ms=0", "ms=-1")
+    upper = _curve_from_track(track, "ms=0", "ms=+1")
     return TransitionCurve(
         species=nv.name,
         orientation=orientation.label,
-        from_state="ms=0>ms=-1",
-        to_state="ms=0>ms=+1",
+        from_state=lower.label,
+        to_state=upper.label,
         B=track.B,
-        f=f,
+        f=upper.f - lower.f,
         tracking_ok=track.tracking_ok,
-        _freq_fn=freq,
+        _freq_fn=lambda amplitude: upper._freq_fn(amplitude) - lower._freq_fn(amplitude),
     )
 
 

@@ -398,18 +398,23 @@ def manifold_of(label: str) -> str:
 
 
 def _match_order(prev_vecs, new_vecs):
-    """Map each previous column to its maximum-overlap new column.
+    """Map each previous column to its maximum-overlap new column, for
+    stacks (n, d, d) of eigenvector columns.
 
-    Returns (order, min_overlap): order[i] is the new index continuing
-    previous state i; min_overlap is the smallest matched |<prev|new>|.
+    Returns (order, min_overlap): order[k, i] is the new index continuing
+    previous state i in row k; min_overlap[k] is the smallest matched
+    |<prev|new>| of row k.  A row whose argmax picks one column twice
+    falls back to the assignment maximising the summed squared overlap.
     """
-    ov = np.abs(prev_vecs.conj().T @ new_vecs)
-    d = ov.shape[0]
-    order = np.argmax(ov, axis=1)
-    if len(set(order.tolist())) != d:
-        rows, cols = linear_sum_assignment(-(ov**2))
-        order = cols[np.argsort(rows)]
-    return order, float(np.min(ov[np.arange(d), order]))
+    ov = np.abs(prev_vecs.conj().transpose(0, 2, 1) @ new_vecs)
+    order = ov.argmax(axis=2)
+    matched = ov.max(axis=2)
+    picked = np.sort(order, axis=1)
+    for k in np.flatnonzero((picked[:, 1:] == picked[:, :-1]).any(axis=1)):
+        rows, cols = linear_sum_assignment(-(ov[k] ** 2))
+        order[k] = cols[np.argsort(rows)]
+        matched[k] = ov[k, rows, cols]
+    return order, matched.min(axis=1)
 
 
 @dataclass(eq=False)
@@ -437,16 +442,17 @@ class LevelTrack:
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
-    def energies_at(self, amplitude: float) -> np.ndarray:
-        """Label-ordered energies at an arbitrary field amplitude, matched
-        against the nearest tracked grid point."""
+    def energies_at(self, amplitude) -> np.ndarray:
+        """Label-ordered energies at arbitrary field amplitudes, each
+        matched against the nearest tracked grid point: (d,) for a
+        scalar, (..., d) for an array."""
+        flat = np.ravel(np.asarray(amplitude, dtype=float))
         h0, h1 = self._parts
-        vals, vecs = kernels.eigh(h0 + amplitude * h1)
-        k = int(np.clip(np.searchsorted(self.B, amplitude), 0, len(self.B) - 1))
-        if k > 0 and amplitude - self.B[k - 1] < self.B[k] - amplitude:
-            k -= 1
+        vals, vecs = kernels.eigh_stack(h0 + flat[:, None, None] * h1)
+        k = np.minimum(np.searchsorted(self.B, flat), len(self.B) - 1)
+        k -= (k > 0) & (flat - self.B[k - 1] < self.B[k] - flat)
         order, _ = _match_order(self.vectors[k], vecs)
-        return vals[order]
+        return vals[np.arange(len(flat))[:, None], order].reshape(np.shape(amplitude) + (-1,))
 
 
 def track_levels(
@@ -483,23 +489,19 @@ def track_levels(
 
     labels, _, anchor_vecs = anchor_labels(species)
     d = species.dim
-    lab2raw = np.empty((len(full), d), dtype=int)
-    order, min_ov = _match_order(anchor_vecs, vecs[0])
-    lab2raw[0] = order
-    if len(full) > 1:
-        ov_all = np.abs(np.matmul(vecs[:-1].conj().transpose(0, 2, 1), vecs[1:]))
-        for k in range(1, len(full)):
-            ov = ov_all[k - 1]
-            step_order = np.argmax(ov, axis=1)
-            if len(set(step_order.tolist())) != d:
-                rows, cols = linear_sum_assignment(-(ov**2))
-                step_order = cols[np.argsort(rows)]
-            min_ov = min(min_ov, float(np.min(ov[np.arange(d), step_order])))
-            lab2raw[k] = step_order[lab2raw[k - 1]]
+    # row 0 matches the anchor, row k > 0 grid step k - 1 to step k
+    prev = np.concatenate([anchor_vecs[None], vecs[:-1]])
+    step_order, step_min = _match_order(prev, vecs)
+    min_ov = float(np.min(step_min))
+    # label -> raw column, composed only where a step permutes the columns
+    moved = np.flatnonzero(np.any(step_order != np.arange(d), axis=1))
+    perms = [np.arange(d)]
+    for k in moved:
+        perms.append(step_order[k][perms[-1]])
+    lab2raw = np.array(perms)[np.searchsorted(moved, np.arange(len(full)), side="right")]
 
-    rows = np.arange(len(full))[:, None]
-    energies = vals[rows, lab2raw]
-    vectors = vecs[rows[:, :, None], np.arange(d)[None, :, None], lab2raw[:, None, :]]
+    energies = np.take_along_axis(vals, lab2raw, axis=1)
+    vectors = np.take_along_axis(vecs, lab2raw[:, None, :], axis=2)
 
     track = LevelTrack(
         species=species,

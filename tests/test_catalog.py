@@ -84,6 +84,43 @@ def _write(tmp_path, payload):
                           "quadrupole_P_MHz": -3.97}}],
             "quadrupole",
         ),
+        # json reads NaN and Infinity as numbers; the catalog must not
+        ('[{"name": "A", "S": 1.0, "D_MHz": NaN, "orientation": "lab"}]',
+         "'D_MHz' must be finite"),
+        ('[{"name": "A", "S": 1.0, "D_MHz": 1.0, "E_MHz": -Infinity, "orientation": "lab"}]',
+         "'E_MHz' must be finite"),
+        ('[{"name": "A", "S": 1.0, "D_MHz": 1e400, "orientation": "lab"}]',
+         "'D_MHz' must be finite"),
+        ([{"name": "A", "S": 1.0, "D_MHz": 10**400, "orientation": "lab"}],
+         "'D_MHz' must be finite"),
+        ([{"name": "A", "S": 1.0, "D_MHz": 1.0, "gamma_e_MHz_per_G": 0, "orientation": "lab"}],
+         "'gamma_e_MHz_per_G' must be > 0"),
+        ([{"name": "A", "S": 1.0, "D_MHz": 1.0, "gamma_e_MHz_per_G": -2.8,
+           "orientation": "lab"}],
+         "'gamma_e_MHz_per_G' must be > 0"),
+        (
+            '[{"name": "A", "S": 0.5, "D_MHz": 0.0, "orientation": "lab", "nuclear": '
+            '{"I": 1.0, "gamma_n_MHz_per_G": 1e-4, "A_MHz": [1, 0, 0, 0, NaN, 0, 0, 0, 1]}}]',
+            "'A_MHz' must hold finite numbers",
+        ),
+        (
+            '[{"name": "A", "S": 0.5, "D_MHz": 0.0, "orientation": "lab", "nuclear": '
+            '{"I": 1.0, "gamma_n_MHz_per_G": 1e-4, "A_MHz": [1, 0, 0, 0, 1, 0, 0, 0, 1], '
+            '"quadrupole_P_MHz": Infinity}}]',
+            "'quadrupole_P_MHz' must be finite",
+        ),
+        (
+            [{"name": "A", "S": 0.5, "D_MHz": 0.0, "orientation": "lab",
+              "nuclear": {"I": 1.0, "gamma_n_MHz_per_G": 1e-4,
+                          "A_MHz": [1, 0, 0, 0, 10**400, 0, 0, 0, 1]}}],
+            "'A_MHz' must hold finite numbers",
+        ),
+        (
+            [{"name": "A", "S": 0.5, "D_MHz": 0.0, "orientation": "lab",
+              "nuclear": {"I": 1.0, "gamma_n_MHz_per_G": 1e-4,
+                          "A_MHz": [[1, 0, 0], [0, 1], [0, 0, 1]]}}],
+            "'A_MHz' must hold finite numbers",
+        ),
     ],
 )
 def test_malformed_catalog_rejected(tmp_path, payload, fragment):

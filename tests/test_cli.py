@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import crosspeak.crossings as crossings_mod
 from crosspeak.cli import main
 
 from synth import make_scan
@@ -75,6 +76,55 @@ def test_predict_bad_range(tmp_path, capsys):
                 "--range", "100:0"])
     assert code == 2
     assert "B_min < B_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("crossings", "15:inf", "b_max must be finite"),
+        ("crossings", "15:145:nan", "step must be finite"),
+        ("predict", "-inf:145", "b_min must be finite"),
+    ],
+)
+def test_non_finite_range_is_usage_error(tmp_path, capsys, command, text, message):
+    species = ["--a", "NV", "--b", "VH-"] if command == "crossings" else ["--species", "NV"]
+    code = run([command, *species, "--outdir", tmp_path, f"--range={text}"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["0:1e9:1", "15:145:0.001", "99990:100000:5"])
+def test_oversized_sweep_rejected_before_allocation(tmp_path, capsys, monkeypatch, text):
+    # the sweep grid and the tracker must never be reached: an oversized
+    # range is refused while the range is still three numbers
+    def allocated(*args):
+        raise AssertionError("sweep allocated before its range was checked")
+
+    monkeypatch.setattr(crossings_mod.SweepSpec, "grid", property(allocated))
+    monkeypatch.setattr(crossings_mod, "track_levels", allocated)
+    code = run(["predict", "--species", "NV", "--outdir", tmp_path, "--range", text])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"limit of {crossings_mod.MAX_SWEEP_POINTS} field points" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gamma_e_MHz_per_G", 0, "'gamma_e_MHz_per_G' must be > 0"),
+        ("D_MHz", float("nan"), "'D_MHz' must be finite"),
+    ],
+)
+def test_bad_catalog_number_is_usage_error(tmp_path, capsys, field, value, message):
+    entry = {"name": "NV", "S": 1.0, "D_MHz": 2870.0, "orientation": "111", field: value}
+    catalog = tmp_path / "cat.json"
+    catalog.write_text(json.dumps([entry]))
+    code = run(["--catalog", catalog, "invert", "--center", "54.2522",
+                "--outdir", tmp_path])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "zfs.json").exists()
 
 
 def test_bad_axis_is_usage_error(tmp_path):
@@ -290,6 +340,11 @@ def test_map_outputs(tmp_path, capsys):
         (["--phi-max", "nan"], "angle ranges"),
         (["--theta-max", "inf"], "angle ranges"),
         (["--species", "P1"], "bare S=1"),
+        # beyond the goniometer limit of field_from_angles
+        (["--phi-max", "120"], "at most 90 deg"),
+        (["--theta-max", "90.5"], "at most 90 deg"),
+        (["--steps", "402"], "steps per axis"),
+        (["--steps", "2"], "steps per axis"),
     ],
 )
 def test_map_bad_input_is_usage_error(tmp_path, capsys, extra, message):

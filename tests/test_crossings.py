@@ -10,6 +10,7 @@ import pytest
 
 from crosspeak.crossings import (
     FREQ_MATCH_TOL,
+    MAX_SWEEP_POINTS,
     SweepSpec,
     find_crossings,
     p1_three_body_fields,
@@ -43,6 +44,17 @@ def test_sweep_spec_validation():
         SweepSpec(axis=AX_100, b_min=0.0, b_max=10.0, step=8.0)
     with pytest.raises(ValueError):
         SweepSpec(axis=AX_100, b_min=-5.0, b_max=10.0)
+    for field in ("b_min", "b_max", "step"):
+        for bad in (np.nan, np.inf, -np.inf):
+            kwargs = {"b_min": 0.0, "b_max": 10.0, "step": 0.5, field: bad}
+            with pytest.raises(ValueError, match=f"sweep {field} must be finite"):
+                SweepSpec(axis=AX_100, **kwargs)
+    # the cap counts the zero-field ramp too: B_max / min(step, 0.5 G)
+    SweepSpec(axis=AX_100, b_min=0.0, b_max=MAX_SWEEP_POINTS * 0.5, step=1.0)
+    with pytest.raises(ValueError, match=f"limit of {MAX_SWEEP_POINTS} field points"):
+        SweepSpec(axis=AX_100, b_min=49_990.0, b_max=50_000.5, step=1.0)
+    with pytest.raises(ValueError, match=f"limit of {MAX_SWEEP_POINTS} field points"):
+        SweepSpec(axis=AX_100, b_min=0.0, b_max=10.1, step=1e-4)
 
 
 def test_grid_endpoints():

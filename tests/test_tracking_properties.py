@@ -1,0 +1,137 @@
+"""Property tests of adiabatic level tracking over random species, axes
+and field grids.
+
+``reference_track`` is the per-step matching loop that ``track_levels``
+used before it matched every grid step in one stacked pass: one
+maximum-overlap argmax per step, scipy's assignment where the argmax
+repeats a column, and the label permutation composed step by step.  The
+stacked tracker must reproduce its energies and labels bit for bit.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
+
+from crosspeak import kernels
+from crosspeak.catalog import load_catalog
+from crosspeak.spin import _match_order, anchor_labels, hamiltonian_parts, track_levels
+
+CATALOG = load_catalog()
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+species_names = st.sampled_from(sorted(CATALOG))
+orientation_index = st.integers(min_value=0, max_value=3)
+axes = (
+    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 0.1)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+grids = st.tuples(
+    st.sampled_from([0.0, 0.3, 5.0, 47.5]),  # B_min, gauss
+    st.floats(0.05, 2.0),  # step, gauss
+    st.integers(min_value=2, max_value=150),  # points
+).map(lambda t: t[0] + t[1] * np.arange(t[2]))
+
+
+def reference_order(ov):
+    """The per-matrix matching rule on one overlap matrix |<prev|new>|:
+    (order, smallest matched overlap)."""
+    d = len(ov)
+    order = np.argmax(ov, axis=1)
+    if len(set(order.tolist())) != d:
+        rows, cols = linear_sum_assignment(-(ov**2))
+        order = cols[np.argsort(rows)]
+    return order, float(np.min(ov[np.arange(d), order]))
+
+
+def reference_track(species, orientation, axis, b_grid, ramp_step=0.5):
+    """(labels, energies, min_overlap) from the per-step matching loop."""
+    h0, h1 = hamiltonian_parts(species, axis, orientation)
+    n_ramp = 0
+    full = b_grid
+    if b_grid[0] > 0:
+        step = min(ramp_step, np.min(np.diff(b_grid)) if len(b_grid) > 1 else ramp_step)
+        ramp = np.arange(0.0, b_grid[0], step)
+        n_ramp = len(ramp)
+        full = np.concatenate([ramp, b_grid])
+    vals, vecs = kernels.eigh_stack(h0[None, :, :] + full[:, None, None] * h1[None, :, :])
+    labels, _, anchor_vecs = anchor_labels(species)
+    lab2raw, min_ov = reference_order(np.abs(anchor_vecs.conj().T @ vecs[0]))
+    energies = [vals[0][lab2raw]]
+    ov_all = np.abs(np.matmul(vecs[:-1].conj().transpose(0, 2, 1), vecs[1:]))
+    for k in range(1, len(full)):
+        step_order, step_min = reference_order(ov_all[k - 1])
+        min_ov = min(min_ov, step_min)
+        lab2raw = step_order[lab2raw]
+        energies.append(vals[k][lab2raw])
+    return labels, np.array(energies[n_ramp:]), min_ov
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 6]), st.integers(1, 30))
+# about a fifth of random 3x3 rows repeat a column in their argmax
+@example(0, 3, 30)
+def test_match_order_equals_per_matrix_rule(seed, d, n):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, n, d, d)) + 1j * rng.normal(size=(2, n, d, d))
+    prev, new = np.linalg.qr(z)[0]  # two stacks of random unitaries
+    order, min_ov = _match_order(prev, new)
+    ov = np.abs(prev.conj().transpose(0, 2, 1) @ new)
+    for k in range(n):
+        ref_order, ref_min = reference_order(ov[k])
+        assert np.array_equal(order[k], ref_order)
+        assert min_ov[k] == ref_min
+
+
+def _orientation(species, index):
+    classes = species.orientations()
+    return classes[index % len(classes)]
+
+
+@PROPERTY_SETTINGS
+@given(species_names, orientation_index, axes, grids)
+# P1 along [111]: level crossings whose swaps do not commute, so the
+# label permutations must be composed in step order
+@example("P1", 0, np.ones(3) / np.sqrt(3.0), np.arange(0.0, 40.0, 0.5))
+def test_track_levels_equals_per_step_reference(name, index, axis, grid):
+    species = CATALOG[name]
+    orientation = _orientation(species, index)
+    track = track_levels(species, orientation, axis, grid)
+    labels, energies, min_ov = reference_track(species, orientation, track.axis, grid)
+    assert track.labels == labels
+    assert np.array_equal(track.energies, energies)
+    assert track.min_overlap == min_ov
+
+
+@PROPERTY_SETTINGS
+@given(
+    species_names,
+    orientation_index,
+    axes,
+    grids,
+    st.lists(st.floats(0.0, 400.0), min_size=1, max_size=12),
+)
+def test_energies_at_array_equals_scalar_rows(name, index, axis, grid, amplitudes):
+    species = CATALOG[name]
+    track = track_levels(species, _orientation(species, index), axis, grid)
+    x = np.array(amplitudes)
+    stacked = track.energies_at(x)
+    assert stacked.shape == (len(x), species.dim)
+    rows = np.array([track.energies_at(float(b)) for b in x])
+    assert np.array_equal(stacked, rows)
+    # any array shape, answered row for row
+    assert np.array_equal(track.energies_at(x.reshape(1, -1, 1))[0, :, 0], stacked)
+
+
+@PROPERTY_SETTINGS
+@given(species_names, orientation_index, axes, st.floats(0.0, 1000.0))
+def test_spectrum_time_reversal(name, index, axis, amplitude):
+    # time reversal maps H(B) onto H(-B): the spectra agree level by level
+    species = CATALOG[name]
+    h0, h1 = hamiltonian_parts(species, axis, _orientation(species, index))
+    forward, _ = kernels.eigh(h0 + amplitude * h1, compute_vectors=False)
+    backward, _ = kernels.eigh(h0 - amplitude * h1, compute_vectors=False)
+    scale = max(1.0, np.max(np.abs(forward)))
+    assert np.allclose(forward, backward, rtol=0.0, atol=1e-9 * scale)

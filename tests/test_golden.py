@@ -9,6 +9,9 @@ its own Zeeman stack instead of going through ``spin.probe_frequencies``.
 The ``crossings_nv_vh_1*``, ``crossings_nv_nv13c`` and ``predict_*`` files
 were written while level tracking matched each grid step in its own loop
 iteration and refinement solved one matrix per probe.
+The ``crossings_nv_war1_generic``, ``crossings_nv13c_vh_111`` and
+``crossings_p1_three_body_ramp`` files were written while each curve pair
+ran its own bisection through a frequency closure per curve.
 The inputs are regenerated here from fixed seeds and literal fiducials.
 """
 
@@ -122,6 +125,21 @@ CASES = {
     "crossings_nv_nv13c": lambda tmp: crossings(
         tmp, "crossings_nv_nv13c",
         ["--a", "NV", "--b", "NV-13C", "--axis", "100", "--range", "15:145:0.1"],
+    ),
+    # a generic axis splits all four NV classes: many curve pairs, 8 tracks
+    "crossings_nv_war1_generic": lambda tmp: crossings(
+        tmp, "crossings_nv_war1_generic",
+        ["--a", "NV", "--b", "WAR1", "--axis", "0.3,0.5,0.8", "--range", "0:300:0.1"],
+    ),
+    # hyperfine levels on both sides: 6x6 tracks against 6x6 tracks
+    "crossings_nv13c_vh_111": lambda tmp: crossings(
+        tmp, "crossings_nv13c_vh_111",
+        ["--a", "NV-13C", "--b", "VH-", "--axis", "111", "--range", "0:200:0.1"],
+    ),
+    # the zero-field ramp below an off-grid start
+    "crossings_p1_three_body_ramp": lambda tmp: crossings(
+        tmp, "crossings_p1_three_body_ramp",
+        ["--p1-three-body", "--range", "3:180:0.37"],
     ),
     "predict_nv13c_p1_111": lambda tmp: predict(
         tmp, "predict_nv13c_p1_111",

@@ -11,8 +11,6 @@ operating on exact Hamiltonians, never on interpolated samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
-
 import numpy as np
 
 from .roots import bisect
@@ -83,59 +81,44 @@ class SweepSpec:
 class TransitionCurve:
     """One labelled transition frequency as a function of field amplitude.
 
+    The curve reads the levels ``pair`` = (i, j) of its track, |E_j - E_i|,
+    less the levels ``minus`` when set (the NV branch difference).
     ``multiplicity`` counts coincident curves merged into this one (e.g.
     the four NV orientation classes on a [100] sweep).  ``freq_at``
     re-evaluates the exact Hamiltonian, so refinement does not rely on
     the sampled grid.
     """
 
-    species: str
-    orientation: str
+    track: LevelTrack = dataclass_field(repr=False)
     from_state: str
     to_state: str
-    B: np.ndarray
-    f: np.ndarray
+    pair: tuple[int, int]
+    minus: tuple[int, int] | None = None
     multiplicity: int = 1
-    tracking_ok: bool = True
-    _freq_fn: Callable[[np.ndarray], np.ndarray] = dataclass_field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.species = self.track.species.name
+        self.orientation = self.track.orientation.label
+        self.B = self.track.B
+        self.f = self.freq_of(self.track.energies)
 
     @property
     def label(self) -> str:
         return f"{self.from_state}>{self.to_state}"
 
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.B, self.f])
+    def freq_of(self, energies: np.ndarray) -> np.ndarray:
+        """The curve's frequency from label-ordered energies (..., d)."""
+        i, j = self.pair
+        f = np.abs(energies[..., j] - energies[..., i])
+        if self.minus is not None:
+            i, j = self.minus
+            f = f - np.abs(energies[..., j] - energies[..., i])
+        return f
 
     def freq_at(self, amplitude):
         """Frequency at one field amplitude or at each of an array of them,
         re-evaluated on the exact Hamiltonian in one stacked call."""
-        return self._freq_fn(np.asarray(amplitude, dtype=float))
-
-    def slope_at(self, amplitude, h: float = 0.025):
-        lo = np.maximum(self.B[0], amplitude - h)
-        hi = np.minimum(self.B[-1], amplitude + h)
-        f_hi, f_lo = self.freq_at(np.stack([hi, lo]))
-        return (f_hi - f_lo) / (hi - lo)
-
-
-def _curve_from_track(track: LevelTrack, a: str, b: str) -> TransitionCurve:
-    i, j = track.index_of(a), track.index_of(b)
-
-    def freq(amplitude):
-        e = track.energies_at(amplitude)
-        return np.abs(e[..., j] - e[..., i])
-
-    return TransitionCurve(
-        species=track.species.name,
-        orientation=track.orientation.label,
-        from_state=a,
-        to_state=b,
-        B=track.B,
-        f=np.abs(track.energies[:, j] - track.energies[:, i]),
-        tracking_ok=track.tracking_ok,
-        _freq_fn=freq,
-    )
+        return self.freq_of(self.track.energies_at(np.asarray(amplitude, dtype=float)))
 
 
 def sweep_curves(
@@ -159,7 +142,7 @@ def sweep_curves(
     for orientation in orientations:
         track = track_levels(species, orientation, spec.axis, grid)
         for a, b in transition_pairs(species, track.labels, rule):
-            curves.append(_curve_from_track(track, a, b))
+            curves.append(TransitionCurve(track, a, b, (track.index_of(a), track.index_of(b))))
     merged: list[TransitionCurve] = []
     for c in curves:
         for m in merged:
@@ -184,45 +167,21 @@ class CrossingEvent:
     slope_gap: float
 
 
-def _pair_events(ca: TransitionCurve, cb: TransitionCurve) -> list[CrossingEvent]:
-    g = ca.f - cb.f
-    if np.max(np.abs(g)) < GRID_ZERO_TOL:
-        # identical curves: degenerate everywhere, no transversal crossing
-        return []
-
-    def gap(x, rows):
-        return ca.freq_at(x) - cb.freq_at(x)
-
-    s = np.sign(g)
-    k = np.flatnonzero((s[:-1] * s[1:]) < 0)
-    roots = np.sort(np.concatenate([
-        ca.B[np.abs(g) <= GRID_ZERO_TOL],
-        bisect(gap, ca.B[k], ca.B[k + 1], g[k], g[k + 1], BISECT_TOL_G),
-    ]))
-    if not roots.size:
-        return []
-    kept = roots[:1].tolist()
-    for b_star in roots[1:]:
-        if b_star - kept[-1] > EVENT_MERGE_G:
-            kept.append(b_star)
-    b = np.array(kept)
-    fa, fb = ca.freq_at(b), cb.freq_at(b)
-    # a root that refinement failed to pin (steep anticrossing) is dropped
-    ok = np.abs(fa - fb) <= FREQ_MATCH_TOL
-    b, fa, fb = b[ok], fa[ok], fb[ok]
-    slope_gaps = np.abs(ca.slope_at(b) - cb.slope_at(b))
-    return [
-        CrossingEvent(
-            species_a=ca.species,
-            transition_a=ca.label,
-            species_b=cb.species,
-            transition_b=cb.label,
-            B_star=b_star,
-            f_star=f_star,
-            slope_gap=slope_gap,
-        )
-        for b_star, f_star, slope_gap in zip(b, 0.5 * (fa + fb), slope_gaps)
-    ]
+def _freqs(curves: list[TransitionCurve], x: np.ndarray) -> np.ndarray:
+    """Frequency of curves[k] at x[k]: one energies_at per distinct track
+    over all its rows, from which each curve reads its own levels."""
+    rows: dict[LevelTrack, dict[TransitionCurve, list[int]]] = {}
+    for k, c in enumerate(curves):
+        rows.setdefault(c.track, {}).setdefault(c, []).append(k)
+    f = np.empty(len(x))
+    for track, by_curve in rows.items():
+        order = [k for ks in by_curve.values() for k in ks]
+        e = track.energies_at(x[order])
+        start = 0
+        for c, ks in by_curve.items():
+            f[ks] = c.freq_of(e[start:start + len(ks)])
+            start += len(ks)
+    return f
 
 
 def find_crossings(
@@ -231,20 +190,66 @@ def find_crossings(
     """Every field where a curve from one family meets a curve from the
     other.
 
-    Sign changes of f_a - f_b on the shared grid are bracketed and
-    refined by bisection on the exact Hamiltonians to 1e-4 G; grid nodes
-    where the difference already vanishes (e.g. B = 0 for the three-body
-    condition) are kept as-is.  Tangential approaches without a sign
-    change are not events.
+    Sign changes of f_a - f_b on the shared grid are bracketed, and the
+    brackets of every curve pair are refined together by one stacked
+    bisection on the exact Hamiltonians to 1e-4 G; grid nodes where the
+    difference already vanishes (e.g. B = 0 for the three-body condition)
+    are kept as-is.  Tangential approaches without a sign change are not
+    events.
     """
+    pairs, on_grid, brackets, g_lo, g_hi = [], [], [], [], []
     for ca in curves_a:
         for cb in curves_b:
             if not np.array_equal(ca.B, cb.B):
                 raise ValueError("curves must share one sweep grid")
-    events: list[CrossingEvent] = []
-    for ca in curves_a:
-        for cb in curves_b:
-            events.extend(_pair_events(ca, cb))
+            g = ca.f - cb.f
+            if np.max(np.abs(g)) < GRID_ZERO_TOL:
+                # identical curves: degenerate everywhere, no transversal crossing
+                continue
+            s = np.sign(g)
+            k = np.flatnonzero((s[:-1] * s[1:]) < 0)
+            pairs.append((ca, cb))
+            on_grid.append(ca.B[np.abs(g) <= GRID_ZERO_TOL])
+            brackets.append(k)
+            g_lo.append(g[k])
+            g_hi.append(g[k + 1])
+    if not pairs:
+        return []
+    side_a, side_b = zip(*pairs)
+    row_pair = np.repeat(np.arange(len(pairs)), [len(k) for k in brackets])
+
+    def gap(x, rows):
+        p = row_pair[rows]
+        f = _freqs([side_a[i] for i in p] + [side_b[i] for i in p], np.concatenate([x, x]))
+        return f[:len(p)] - f[len(p):]
+
+    grid, k = side_a[0].B, np.concatenate(brackets)
+    refined = bisect(gap, grid[k], grid[k + 1], np.concatenate(g_lo),
+                     np.concatenate(g_hi), BISECT_TOL_G)
+    cand_pair, cand_b = [], []
+    for i in range(len(pairs)):
+        roots = np.sort(np.concatenate([on_grid[i], refined[row_pair == i]]))
+        for b_star in roots:
+            if not cand_b or cand_pair[-1] != i or b_star - cand_b[-1] > EVENT_MERGE_G:
+                cand_pair.append(i)
+                cand_b.append(b_star)
+    # every candidate's match check at B* and its slope points +-0.025 G,
+    # clipped to the sweep, in one evaluation
+    b = np.array(cand_b)
+    lo, hi = np.maximum(grid[0], b - 0.025), np.minimum(grid[-1], b + 0.025)
+    fa, fa_hi, fa_lo, fb, fb_hi, fb_lo = _freqs(
+        [side_a[i] for i in cand_pair] * 3 + [side_b[i] for i in cand_pair] * 3,
+        np.concatenate([b, hi, lo] * 2),
+    ).reshape(6, len(b))
+    slope_gaps = np.abs((fa_hi - fa_lo) / (hi - lo) - (fb_hi - fb_lo) / (hi - lo))
+    # a root that refinement failed to pin (steep anticrossing) is dropped
+    ok = np.abs(fa - fb) <= FREQ_MATCH_TOL
+    events = [
+        CrossingEvent(side_a[i].species, side_a[i].label, side_b[i].species,
+                      side_b[i].label, b_star, f_star, slope_gap)
+        for i, b_star, f_star, slope_gap in zip(
+            np.array(cand_pair)[ok], b[ok], 0.5 * (fa + fb)[ok], slope_gaps[ok])
+    ]
     events.sort(key=lambda e: (e.B_star, e.transition_a, e.transition_b))
     return events
 
@@ -255,19 +260,10 @@ def _nv_branch_difference_curve(
     """Synthetic curve f(0->+1) - f(0->-1) of the NV probe pair."""
     if nv.S != 1.0 or nv.nuclear is not None:
         raise ValueError("branch difference requires a bare S=1 probe")
-    orientation = nv.orientations()[0]
-    track = track_levels(nv, orientation, spec.axis, spec.grid)
-    lower = _curve_from_track(track, "ms=0", "ms=-1")
-    upper = _curve_from_track(track, "ms=0", "ms=+1")
+    track = track_levels(nv, nv.orientations()[0], spec.axis, spec.grid)
+    zero, lower, upper = (track.index_of(s) for s in ("ms=0", "ms=-1", "ms=+1"))
     return TransitionCurve(
-        species=nv.name,
-        orientation=orientation.label,
-        from_state=lower.label,
-        to_state=upper.label,
-        B=track.B,
-        f=upper.f - lower.f,
-        tracking_ok=track.tracking_ok,
-        _freq_fn=lambda amplitude: upper._freq_fn(amplitude) - lower._freq_fn(amplitude),
+        track, "ms=0>ms=-1", "ms=0>ms=+1", pair=(zero, upper), minus=(zero, lower)
     )
 
 

@@ -6,6 +6,11 @@ used before it matched every grid step in one stacked pass: one
 maximum-overlap argmax per step, scipy's assignment where the argmax
 repeats a column, and the label permutation composed step by step.  The
 stacked tracker must reproduce its energies and labels bit for bit.
+
+``reference_crossings`` is the per-pair refinement that ``find_crossings``
+used before it refined the brackets of every curve pair in one stacked
+bisection: one bisection, one match check and one pair of slope solves
+per curve pair.  The stacked search must reproduce its events bit for bit.
 """
 
 import numpy as np
@@ -14,6 +19,19 @@ from scipy.optimize import linear_sum_assignment
 
 from crosspeak import kernels
 from crosspeak.catalog import load_catalog
+from crosspeak.crossings import (
+    BISECT_TOL_G,
+    EVENT_MERGE_G,
+    FREQ_MATCH_TOL,
+    GRID_ZERO_TOL,
+    CrossingEvent,
+    SweepSpec,
+    _nv_branch_difference_curve,
+    find_crossings,
+    sweep_curves,
+)
+from crosspeak.roots import bisect
+from crosspeak.spin import ManifoldRule
 from crosspeak.spin import _match_order, anchor_labels, hamiltonian_parts, track_levels
 
 CATALOG = load_catalog()
@@ -135,3 +153,81 @@ def test_spectrum_time_reversal(name, index, axis, amplitude):
     backward, _ = kernels.eigh(h0 - amplitude * h1, compute_vectors=False)
     scale = max(1.0, np.max(np.abs(forward)))
     assert np.allclose(forward, backward, rtol=0.0, atol=1e-9 * scale)
+
+
+def reference_slope(curve, amplitude, h=0.025):
+    lo = np.maximum(curve.B[0], amplitude - h)
+    hi = np.minimum(curve.B[-1], amplitude + h)
+    f_hi, f_lo = curve.freq_at(np.stack([hi, lo]))
+    return (f_hi - f_lo) / (hi - lo)
+
+
+def reference_pair_events(ca, cb):
+    """Events of one curve pair from its own bisection."""
+    g = ca.f - cb.f
+    if np.max(np.abs(g)) < GRID_ZERO_TOL:
+        return []
+
+    def gap(x, rows):
+        return ca.freq_at(x) - cb.freq_at(x)
+
+    s = np.sign(g)
+    k = np.flatnonzero((s[:-1] * s[1:]) < 0)
+    roots = np.sort(np.concatenate([
+        ca.B[np.abs(g) <= GRID_ZERO_TOL],
+        bisect(gap, ca.B[k], ca.B[k + 1], g[k], g[k + 1], BISECT_TOL_G),
+    ]))
+    if not roots.size:
+        return []
+    kept = roots[:1].tolist()
+    for b_star in roots[1:]:
+        if b_star - kept[-1] > EVENT_MERGE_G:
+            kept.append(b_star)
+    b = np.array(kept)
+    fa, fb = ca.freq_at(b), cb.freq_at(b)
+    ok = np.abs(fa - fb) <= FREQ_MATCH_TOL
+    b, fa, fb = b[ok], fa[ok], fb[ok]
+    slope_gaps = np.abs(reference_slope(ca, b) - reference_slope(cb, b))
+    return [
+        CrossingEvent(ca.species, ca.label, cb.species, cb.label, b_star, f_star, gap)
+        for b_star, f_star, gap in zip(b, 0.5 * (fa + fb), slope_gaps)
+    ]
+
+
+def reference_crossings(curves_a, curves_b):
+    events = [e for ca in curves_a for cb in curves_b for e in reference_pair_events(ca, cb)]
+    events.sort(key=lambda e: (e.B_star, e.transition_a, e.transition_b))
+    return events
+
+
+sweeps = st.tuples(
+    st.sampled_from([0.0, 0.3, 5.0, 47.5]),  # B_min, gauss
+    st.floats(0.2, 2.0),  # step, gauss
+    st.integers(min_value=10, max_value=150),  # points
+).map(lambda t: (t[0], t[0] + t[1] * t[2], t[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(species_names, species_names, axes, sweeps)
+# NV x NV-13C on a generic axis: 8 x 32 curve pairs, dozens of events
+@example("NV", "NV-13C", np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8]),
+         (0.0, 300.0, 1.0))
+def test_find_crossings_equals_per_pair_reference(name_a, name_b, axis, sweep):
+    spec = SweepSpec(axis, *sweep)
+    curves_a = sweep_curves(CATALOG[name_a], spec)
+    curves_b = sweep_curves(CATALOG[name_b], spec)
+    events = find_crossings(curves_a, curves_b)
+    assert events == reference_crossings(curves_a, curves_b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sweeps)
+@example((0.0, 250.0, 0.1))
+def test_three_body_crossings_equal_per_pair_reference(sweep):
+    # the branch-difference curve reads four levels of one NV track
+    spec = SweepSpec(np.array([1.0, 0.0, 0.0]), *sweep)
+    p1 = CATALOG["P1"]
+    p1_curves = sweep_curves(p1, spec, [p1.orientations()[0]], ManifoldRule.ALL_PAIRS)
+    diff = [_nv_branch_difference_curve(CATALOG["NV"], spec)]
+    events = find_crossings(p1_curves, diff)
+    assert events == reference_crossings(p1_curves, diff)

@@ -14,12 +14,12 @@ B=0 eigenstate of that name.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 
@@ -395,6 +395,20 @@ def anchor_labels(species: SpinSpecies) -> tuple[tuple[str, ...], np.ndarray, np
 def manifold_of(label: str) -> str:
     """The ms-manifold part of a state label ("ms=-1:0" -> "ms=-1")."""
     return label.split(":")[0]
+
+
+def linear_sum_assignment(cost):
+    """Minimum-cost assignment of a square cost matrix (d <= 6) by
+    exhaustive search over its d! permutations.
+
+    Returns (rows, cols) as scipy's solver of the same name does; among
+    permutations of equal cost the first in lexicographic order wins.
+    """
+    cost = np.asarray(cost, dtype=float)
+    d = len(cost)
+    perms = np.array(list(itertools.permutations(range(d))))
+    total = cost[np.arange(d), perms].sum(axis=1)
+    return np.arange(d), perms[np.argmin(total)]
 
 
 def _match_order(prev_vecs, new_vecs):

@@ -245,10 +245,11 @@ def test_fit_bad_fiducials_are_input_error(tmp_path, capsys, rows, message):
 
 
 def test_import_leaves_scan_filters_unloaded(package_env):
-    # crossings, invert and map never need scipy.signal or scipy.ndimage
+    # crossings, invert and map never need scipy.signal or scipy.ndimage,
+    # and level tracking solves its assignment fallback without scipy.optimize
     code = (
         "import sys, crosspeak.cli; "
-        "print(sorted({'scipy.signal', 'scipy.ndimage'} & set(sys.modules)))"
+        "print(sorted({'scipy.optimize', 'scipy.signal', 'scipy.ndimage'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=package_env, capture_output=True, text=True

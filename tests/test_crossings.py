@@ -132,6 +132,15 @@ def test_nv_war1_100_single_event(nv, war1):
     assert abs(events[0].B_star - 121.9363) < 1e-3
 
 
+def test_pair_with_every_root_rejected(nv13c):
+    # some NV-13C x NV-13C pairs bracket only roots that fail the match
+    # check; they add no event instead of aborting the whole search
+    axis = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    curves = sweep_curves(nv13c, SweepSpec(axis=axis, b_min=0.0, b_max=150.0, step=1.0))
+    events = find_crossings(curves, curves)
+    assert len(events) == 650
+
+
 def test_events_satisfy_resonance_condition(nv, vh):
     sweep = spec100()
     ca = sweep_curves(nv, sweep)

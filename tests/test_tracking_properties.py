@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from crosspeak import kernels
+from crosspeak import kernels, spin
 from crosspeak.catalog import load_catalog
 from crosspeak.crossings import (
     BISECT_TOL_G,
@@ -101,6 +101,16 @@ def test_match_order_equals_per_matrix_rule(seed, d, n):
         ref_order, ref_min = reference_order(ov[k])
         assert np.array_equal(order[k], ref_order)
         assert min_ov[k] == ref_min
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 6]))
+def test_assignment_equals_scipy(seed, d):
+    # scipy's solver is the oracle of the exhaustive permutation search
+    cost = np.random.default_rng(seed).normal(size=(d, d))
+    rows, cols = spin.linear_sum_assignment(cost)
+    ref_rows, ref_cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
 
 
 def _orientation(species, index):
@@ -187,6 +197,10 @@ def reference_pair_events(ca, cb):
     fa, fb = ca.freq_at(b), cb.freq_at(b)
     ok = np.abs(fa - fb) <= FREQ_MATCH_TOL
     b, fa, fb = b[ok], fa[ok], fb[ok]
+    if not b.size:
+        # every root failed the match check (the per-pair search raised
+        # here, reshaping an empty stack of slope points)
+        return []
     slope_gaps = np.abs(reference_slope(ca, b) - reference_slope(cb, b))
     return [
         CrossingEvent(ca.species, ca.label, cb.species, cb.label, b_star, f_star, gap)

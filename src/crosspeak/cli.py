@@ -168,7 +168,9 @@ def cmd_invert(args, catalog) -> int:
     elif args.report:
         payload = json.loads(Path(args.report).read_text())
         for p in payload.get("peaks", []):
-            jobs.append((p["center_G"], p.get("center_sigma_G", 0.0)))
+            # null stands for a non-finite value, which the inversion rejects
+            center, sigma = p["center_G"], p.get("center_sigma_G", 0.0)
+            jobs.append(tuple(float("nan") if v is None else v for v in (center, sigma)))
     if not jobs:
         print("invert: need --center or --report with peaks", file=sys.stderr)
         return EXIT_CONFIG
@@ -190,7 +192,7 @@ def cmd_invert(args, catalog) -> int:
     text = (
         iomod.zfs_to_json(estimates[0])
         if len(estimates) == 1
-        else json.dumps([iomod.zfs_to_dict(z) for z in estimates], indent=2, sort_keys=True) + "\n"
+        else iomod.dump_json([iomod.zfs_to_dict(z) for z in estimates])
     )
     _write(args.outdir, "zfs.json", text, written)
     for z in estimates:

@@ -46,9 +46,17 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _round(x: float, places: int) -> float:
+def _round(x: float, places: int) -> float | None:
+    """x rounded for JSON: None (null) when it is not finite."""
+    if not np.isfinite(x):
+        return None
     r = round(float(x), places)
     return 0.0 if r == 0 else r  # avoid "-0.0" leaking into JSON
+
+
+def dump_json(payload) -> str:
+    """Standard JSON text: a non-finite float raises instead of writing NaN."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def curves_to_csv(curves: list[TransitionCurve]) -> str:
@@ -90,7 +98,7 @@ def events_to_json(events: list[CrossingEvent]) -> str:
         }
         for e in events
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json(payload)
 
 
 def report_to_json(report: ScanReport, zfs: list[ZfsEstimate] = ()) -> str:
@@ -125,7 +133,7 @@ def report_to_json(report: ScanReport, zfs: list[ZfsEstimate] = ()) -> str:
         ],
         "zfs": [zfs_to_dict(z) for z in zfs],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json(payload)
 
 
 def peaks_to_csv(report: ScanReport) -> str:
@@ -151,7 +159,7 @@ def zfs_to_dict(z: ZfsEstimate) -> dict:
 
 
 def zfs_to_json(z: ZfsEstimate) -> str:
-    return json.dumps(zfs_to_dict(z), indent=2, sort_keys=True) + "\n"
+    return dump_json(zfs_to_dict(z))
 
 
 def map_to_csv(deg_map) -> str:
@@ -179,7 +187,7 @@ def map_meta_to_json(deg_map) -> str:
             "n_theta": deg_map.grid.n_theta,
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json(payload)
 
 
 def loci_to_csv(loci: dict[str, np.ndarray]) -> str:

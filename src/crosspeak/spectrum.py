@@ -251,6 +251,9 @@ def fit_baseline(spectrum: Spectrum, excluded_windows=()) -> BaselineFit:
     """Ordinary least squares, order fixed at 4, on points outside the
     excluded windows."""
     windows = tuple((float(lo), float(hi)) for lo, hi in excluded_windows)
+    for lo, hi in windows:
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"excluded window {lo}:{hi} must have finite bounds")
     x, y = spectrum.abscissa, spectrum.counts
     mask = _outside_mask(x, windows)
     if int(mask.sum()) < 6:
@@ -292,6 +295,8 @@ def detect_peaks(residual: Spectrum, k: float = DETECT_K) -> list[PeakWindow]:
     spawning extra windows.  Windows span +-3 estimated widths; windows
     cut short by the scan edge carry the "edge-truncated" flag.
     """
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"detection threshold must be finite and > 0, not {k}")
     # imported here, not at module level: only `fit` needs scipy.signal,
     # and it costs more at startup than the rest of the package
     from scipy.signal import find_peaks

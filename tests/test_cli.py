@@ -195,6 +195,26 @@ def test_fit_scan(tmp_path, scan_file, capsys):
     assert (tmp_path / "peaks.csv").read_text().startswith("center_G,")
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fit_report_is_strict_json(tmp_path, scan_file):
+    # below a negative baseline a dip has no contrast: null, never NaN
+    lines = scan_file.read_text().splitlines()
+    rows = (line.split(",") for line in lines[1:])
+    scan_file.write_text(lines[0] + "\n" + "".join(
+        f"{x},{float(c) - 2.0e6:.1f}\n" for x, c in rows))
+    assert run(["fit", scan_file, "--outdir", tmp_path]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=reject_constant)
+    assert len(payload["peaks"]) == 3
+    assert all(p["contrast"] is None for p in payload["peaks"])
+    assert run(["invert", "--report", tmp_path / "report.json",
+                "--outdir", tmp_path]) == 0
+    json.loads((tmp_path / "zfs.json").read_text(), parse_constant=reject_constant)
+
+
 def test_fit_deterministic(tmp_path, scan_file):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -224,6 +244,25 @@ def test_fit_nan_count_is_input_error(tmp_path, scan_file, capsys):
     scan_file.write_text("\n".join(lines) + "\n")
     assert run(["fit", scan_file, "--outdir", tmp_path]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--threshold", "nan", "threshold must be finite and > 0, not nan"),
+        ("--threshold", "inf", "threshold must be finite and > 0, not inf"),
+        ("--threshold", "-1", "threshold must be finite and > 0, not -1.0"),
+        ("--threshold", "0", "threshold must be finite and > 0, not 0.0"),
+        ("--windows", "nan:5", "window nan:5.0 must have finite bounds"),
+        ("--windows", "10:20,50:inf", "window 50.0:inf must have finite bounds"),
+    ],
+)
+def test_fit_bad_threshold_or_windows_is_usage_error(
+    tmp_path, scan_file, capsys, option, value, message
+):
+    assert run(["fit", scan_file, option, value, "--outdir", tmp_path]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -313,6 +352,15 @@ def test_invert_rejects_bad_input(tmp_path, capsys, flag, value, name):
         argv.append("--center=54.2522")
     assert run(argv) == 2
     assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "zfs.json").exists()
+
+
+def test_invert_report_null_sigma_is_usage_error(tmp_path, capsys):
+    # report.json writes a non-finite fit sigma as null
+    report = tmp_path / "report.json"
+    report.write_text('{"peaks": [{"center_G": 54.2522, "center_sigma_G": null}]}')
+    assert run(["invert", "--report", report, "--outdir", tmp_path]) == 2
+    assert "fit_sigma must be finite and >= 0, got nan" in capsys.readouterr().err
     assert not (tmp_path / "zfs.json").exists()
 
 

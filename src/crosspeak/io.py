@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -48,9 +49,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def _round(x: float, places: int) -> float | None:
     """x rounded for JSON: None (null) when it is not finite."""
-    if not np.isfinite(x):
+    x = float(x)
+    if not math.isfinite(x):
         return None
-    r = round(float(x), places)
+    r = round(x, places)
     return 0.0 if r == 0 else r  # avoid "-0.0" leaking into JSON
 
 

@@ -74,7 +74,7 @@ def test_criterion_04_p1_three_body_field_list(nv, p1):
     residuals = {
         ref: float(np.min(np.abs(fields - ref))) for ref in P1_REFERENCE_FIELDS
     }
-    # tightened from >= 11 of 13 within 1 G: the worst residual is 0.381 G
+    # every reference field within 0.5 G; the worst residual is 0.381 G (246.34 G)
     matched = sum(1 for r in residuals.values() if r < 0.5)
     table = ", ".join(f"{k:g} G -> {v:+.4f}" for k, v in residuals.items())
     assert matched == 13, f"only {matched}/13 reference fields matched: {table}"

@@ -203,8 +203,8 @@ def reference_pair_events(ca, cb):
         return []
     slope_gaps = np.abs(reference_slope(ca, b) - reference_slope(cb, b))
     return [
-        CrossingEvent(ca.species, ca.label, cb.species, cb.label, b_star, f_star, gap)
-        for b_star, f_star, gap in zip(b, 0.5 * (fa + fb), slope_gaps)
+        CrossingEvent(ca.species, ca.label, cb.species, cb.label, b_star, f_star, slope_gap)
+        for b_star, f_star, slope_gap in zip(b, 0.5 * (fa + fb), slope_gaps)
     ]
 
 

@@ -1,4 +1,4 @@
-"""Angular PL map around a reference axis and the ODMR line structure.
+"""Angular PL map around [100] and the ODMR line structure.
 
 Same-species cross-relaxation lights up wherever two NV orientation
 classes become degenerate; sweeping the field direction around [100]
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import MagneticField, SpinSpecies, _unit, probe_frequencies, probe_zeeman
+from .spin import MagneticField, SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
 
 DEFAULT_LINEWIDTH = 6.0  # MHz, FWHM; the NV decoherence scale
 DEFAULT_CONTRAST = 0.05
@@ -24,22 +24,24 @@ MAX_ANGLE_DEG = 90.0
 # about 0.65 million 3x3 eigensolves over the four classes
 MAX_ANGLE_STEPS = 401
 
-PLANE_NORMALS = {
-    "010": np.array([0.0, 1.0, 0.0]),
-    "001": np.array([0.0, 0.0, 1.0]),
-    "011": np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
-    "01-1": np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0),
-}
+# the map's reference axis; its plane loci and masks hold for [100] only
+REFERENCE_AXIS = np.array([1.0, 0.0, 0.0])
 
 
-def _rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _goniometer_axes(ref: np.ndarray, phis, thetas) -> np.ndarray:
+    """Axes Rz(theta) Ry(phi) ref, shape (len(phis), len(thetas), 3), for
+    every pair of goniometer angles (degrees) from the two arrays."""
+    phis, thetas = np.deg2rad(phis), np.deg2rad(thetas)
+    cp, sp = np.cos(phis), np.sin(phis)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    x1 = cp * ref[0] + sp * ref[2]
+    y1 = np.full_like(cp, ref[1])
+    z1 = -sp * ref[0] + cp * ref[2]
+    ax = np.empty((len(phis), len(thetas), 3))
+    ax[:, :, 0] = x1[:, None] * ct[None, :] - y1[:, None] * st[None, :]
+    ax[:, :, 1] = x1[:, None] * st[None, :] + y1[:, None] * ct[None, :]
+    ax[:, :, 2] = z1[:, None]
+    return ax
 
 
 def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float) -> MagneticField:
@@ -47,15 +49,14 @@ def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float
     phi about the lab y axis first, then theta about z."""
     if abs(phi) > MAX_ANGLE_DEG or abs(theta) > MAX_ANGLE_DEG:
         raise ValueError("goniometer angles must satisfy |phi|, |theta| <= 90 deg")
-    ref = _unit(reference_axis)
-    axis = _rot_z(np.deg2rad(theta)) @ (_rot_y(np.deg2rad(phi)) @ ref)
+    axis = _goniometer_axes(_unit(reference_axis), [phi], [theta])[0, 0]
     return MagneticField(amplitude, axis / np.linalg.norm(axis))
 
 
 def odmr_lines(field: MagneticField, nv: SpinSpecies, merge_tol: float = MERGE_TOL):
     """Probe frequencies over the four classes as (frequency, multiplicity),
     ascending, with lines closer than ``merge_tol`` merged."""
-    h1 = np.array([probe_zeeman(nv, field.axis, o) for o in nv.orientations()])
+    h1 = np.array([hamiltonian_parts(nv, field.axis, o)[1] for o in nv.orientations()])
     freqs = np.sort(np.concatenate(probe_frequencies(nv.D, nv.E, field.amplitude, h1)))
     merged: list[list[float]] = []
     for f in freqs:
@@ -93,43 +94,38 @@ class AngleGrid:
 
 @dataclass(eq=False)
 class DegeneracyMap:
-    """pl_proxy[i, j] is the relative PL at (phis[i], thetas[j]);
-    plane_masks marks the grid points lying on each analytic plane locus
-    (within half a cell)."""
+    """pl_proxy[i, j] is the relative PL at (phis[i], thetas[j])."""
 
     grid: AngleGrid
     amplitude: float
     pl_proxy: np.ndarray
-    plane_masks: dict[str, np.ndarray]
     linewidth: float
     contrast: float
     flags: tuple[str, ...] = ()
+
+    @property
+    def plane_masks(self) -> dict[str, np.ndarray]:
+        """Grid points within half a cell, in both angles, of a point of
+        each analytic plane locus (``plane_loci``)."""
+        phis, thetas = self.grid.phis, self.grid.thetas
+        half_phi = 0.5 * (phis[1] - phis[0])
+        half_theta = 0.5 * (thetas[1] - thetas[0])
+        masks = {}
+        for name, locus in plane_loci(self.grid).items():
+            near_phi = np.abs(phis[:, None] - locus[:, 0]) <= half_phi
+            near_theta = np.abs(thetas[:, None] - locus[:, 1]) <= half_theta
+            masks[name] = near_phi @ near_theta.T  # boolean: any locus point near both
+        return masks
 
     def labels_at(self, i: int, j: int) -> tuple[str, ...]:
         return tuple(name for name, m in self.plane_masks.items() if m[i, j])
 
 
-def _probe_freq_grid(
-    nv: SpinSpecies, reference_axis, grid: AngleGrid, amplitude: float
-) -> np.ndarray:
+def _probe_freq_grid(nv: SpinSpecies, grid: AngleGrid, amplitude: float) -> np.ndarray:
     """Probe frequencies f[i, j, class, branch] over the angle grid."""
-    ref = _unit(reference_axis)
-    phis = np.deg2rad(grid.phis)
-    thetas = np.deg2rad(grid.thetas)
-    cp, sp = np.cos(phis), np.sin(phis)
-    ct, st = np.cos(thetas), np.sin(thetas)
-    # axis(phi, theta) = Rz(theta) Ry(phi) ref, built on the whole grid
-    x1 = cp * ref[0] + sp * ref[2]
-    y1 = np.full_like(cp, ref[1])
-    z1 = -sp * ref[0] + cp * ref[2]
-    ax = np.empty((grid.n_phi, grid.n_theta, 3))
-    ax[:, :, 0] = x1[:, None] * ct[None, :] - y1[:, None] * st[None, :]
-    ax[:, :, 1] = x1[:, None] * st[None, :] + y1[:, None] * ct[None, :]
-    ax[:, :, 2] = z1[:, None]
-
-    flat_axes = ax.reshape(-1, 3)
+    flat_axes = _goniometer_axes(REFERENCE_AXIS, grid.phis, grid.thetas).reshape(-1, 3)
     per_class = [
-        probe_frequencies(nv.D, nv.E, amplitude, probe_zeeman(nv, flat_axes, orientation))
+        probe_frequencies(nv.D, nv.E, amplitude, hamiltonian_parts(nv, flat_axes, orientation)[1])
         for orientation in nv.orientations()
     ]
     # (class, branch, point) -> (i, j, class, branch)
@@ -155,9 +151,9 @@ def simulate_map(
     nv: SpinSpecies,
     linewidth: float = DEFAULT_LINEWIDTH,
     contrast: float = DEFAULT_CONTRAST,
-    reference_axis=(1.0, 0.0, 0.0),
 ) -> DegeneracyMap:
-    """Lorentzian-contrast degeneracy map over the angle grid.
+    """Lorentzian-contrast degeneracy map over the angle grid around
+    REFERENCE_AXIS.
 
     pl_proxy = 1 - c * sum over class pairs and branch combinations of
     L(detuning; FWHM=linewidth), with c normalised so the deepest point
@@ -171,7 +167,7 @@ def simulate_map(
         raise ValueError("linewidth must be positive and finite")
     if not 0 <= contrast <= 1:
         raise ValueError("contrast must lie in [0, 1]")
-    f = _probe_freq_grid(nv, reference_axis, grid, amplitude)
+    f = _probe_freq_grid(nv, grid, amplitude)
     hwhm = linewidth / 2.0
     raw = np.zeros((grid.n_phi, grid.n_theta))
     n_cls = f.shape[2]
@@ -187,24 +183,10 @@ def simulate_map(
         flags = ("zero-field-degenerate",)
     scale = contrast / peak if peak > 0 else 0.0
     pl = 1.0 - scale * raw
-
-    # mark grid points within half a cell of each analytic plane
-    masks: dict[str, np.ndarray] = {}
-    phis, thetas = grid.phis, grid.thetas
-    half_phi = 0.5 * (phis[1] - phis[0])
-    half_theta = 0.5 * (thetas[1] - thetas[0])
-    pp = np.deg2rad(phis)[:, None]
-    tt = np.deg2rad(thetas)[None, :]
-    masks["010"] = np.abs(tt) <= np.deg2rad(half_theta) * np.ones_like(pp)
-    masks["001"] = (np.abs(pp) <= np.deg2rad(half_phi)) & np.ones_like(tt, dtype=bool)
-    masks["011"] = np.abs(pp - np.arctan(np.sin(tt))) <= np.deg2rad(half_phi)
-    masks["01-1"] = np.abs(pp + np.arctan(np.sin(tt))) <= np.deg2rad(half_phi)
-
     return DegeneracyMap(
         grid=grid,
         amplitude=amplitude,
         pl_proxy=pl,
-        plane_masks=masks,
         linewidth=linewidth,
         contrast=contrast,
         flags=flags,

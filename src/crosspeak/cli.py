@@ -65,6 +65,13 @@ def _parse_range(text: str):
     return lo, hi, step
 
 
+def _parse_formats(text: str) -> tuple[str, ...]:
+    formats = tuple(text.split(","))
+    if not set(formats) <= {"csv", "json"}:
+        raise argparse.ArgumentTypeError(f"format must be csv, json or csv,json, not {text!r}")
+    return formats
+
+
 def _parse_windows(text: str):
     out = []
     for part in text.split(","):
@@ -167,10 +174,14 @@ def cmd_invert(args, catalog) -> int:
         jobs.append((args.center, args.fit_sigma))
     elif args.report:
         payload = json.loads(Path(args.report).read_text())
-        for p in payload.get("peaks", []):
-            # null stands for a non-finite value, which the inversion rejects
-            center, sigma = p["center_G"], p.get("center_sigma_G", 0.0)
-            jobs.append(tuple(float("nan") if v is None else v for v in (center, sigma)))
+        try:
+            for p in payload.get("peaks", []):
+                # null stands for a non-finite value, which the inversion rejects
+                pair = (p["center_G"], p.get("center_sigma_G", 0.0))
+                jobs.append(tuple(float("nan") if v is None else float(v) for v in pair))
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError(f"{args.report}: expected {{\"peaks\": [...]}} with a number "
+                             "or null as each peak's center_G and center_sigma_G") from None
     if not jobs:
         print("invert: need --center or --report with peaks", file=sys.stderr)
         return EXIT_CONFIG
@@ -257,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nv", default="NV", help="probe species for --p1-three-body")
     p.add_argument("--axis", type=_parse_axis, default="100")
     p.add_argument("--range", type=_parse_range, default=(15.0, 145.0, 0.1))
-    p.add_argument("--format", default="csv,json", help="outputs to write: csv,json")
+    p.add_argument("--format", type=_parse_formats, default="csv,json",
+                   help="outputs to write: csv, json or csv,json")
 
     p = sub.add_parser("fit", parents=[common], help="calibrate, baseline, and fit a PL scan")
     p.add_argument("scan", type=Path, help="scan CSV (header + abscissa,counts)")
@@ -271,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=_parse_axis, default="100")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="detection threshold in robust-sigma units (default 5)")
-    p.add_argument("--format", default="csv,json")
+    p.add_argument("--format", type=_parse_formats, default="csv,json",
+                   help="csv adds peaks.csv; report.json is always written")
 
     p = sub.add_parser("invert", parents=[common], help="zero-field splitting from a dip position")
     p.add_argument("--center", type=float, default=None, help="dip center in gauss")

@@ -61,30 +61,32 @@ def dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def curves_to_csv(curves: list[TransitionCurve]) -> str:
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header, then one line per row of the iterable."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["B_G", "f_MHz", "label"])
-    for c in curves:
-        label = f"{c.species}|{c.orientation}|{c.label}|x{c.multiplicity}"
-        for b, f in zip(c.B, c.f):
-            w.writerow([fmt_gauss(b), fmt_mhz(f), label])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def curves_to_csv(curves: list[TransitionCurve]) -> str:
+    labels = [f"{c.species}|{c.orientation}|{c.label}|x{c.multiplicity}" for c in curves]
+    return _csv(
+        ["B_G", "f_MHz", "label"],
+        ([fmt_gauss(b), fmt_mhz(f), label]
+         for c, label in zip(curves, labels) for b, f in zip(c.B, c.f)),
+    )
 
 
 def events_to_csv(events: list[CrossingEvent]) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
+    return _csv(
         ["species_a", "transition_a", "species_b", "transition_b",
-         "B_star_G", "f_star_MHz", "slope_gap"]
+         "B_star_G", "f_star_MHz", "slope_gap"],
+        ([e.species_a, e.transition_a, e.species_b, e.transition_b,
+          fmt_gauss(e.B_star), fmt_mhz(e.f_star), fmt_gauss(e.slope_gap)]
+         for e in events),
     )
-    for e in events:
-        w.writerow(
-            [e.species_a, e.transition_a, e.species_b, e.transition_b,
-             fmt_gauss(e.B_star), fmt_mhz(e.f_star), fmt_gauss(e.slope_gap)]
-        )
-    return buf.getvalue()
 
 
 def events_to_json(events: list[CrossingEvent]) -> str:
@@ -139,15 +141,12 @@ def report_to_json(report: ScanReport, zfs: list[ZfsEstimate] = ()) -> str:
 
 
 def peaks_to_csv(report: ScanReport) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["center_G", "sigma_G", "depth", "center_sigma_G", "contrast", "flags"])
-    for p in report.peaks:
-        w.writerow(
-            [fmt_gauss(p.center), fmt_gauss(p.sigma), f"{p.depth:.6f}",
-             fmt_gauss(p.center_sigma), f"{p.contrast:.8f}", ";".join(p.flags)]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["center_G", "sigma_G", "depth", "center_sigma_G", "contrast", "flags"],
+        ([fmt_gauss(p.center), fmt_gauss(p.sigma), f"{p.depth:.6f}",
+          fmt_gauss(p.center_sigma), f"{p.contrast:.8f}", ";".join(p.flags)]
+         for p in report.peaks),
+    )
 
 
 def zfs_to_dict(z: ZfsEstimate) -> dict:
@@ -165,14 +164,12 @@ def zfs_to_json(z: ZfsEstimate) -> str:
 
 
 def map_to_csv(deg_map) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["phi_deg", "theta_deg", "pl_proxy"])
-    phis, thetas = deg_map.grid.phis, deg_map.grid.thetas
-    for i, phi in enumerate(phis):
-        for j, theta in enumerate(thetas):
-            w.writerow([fmt_gauss(phi), fmt_gauss(theta), f"{deg_map.pl_proxy[i, j]:.6f}"])
-    return buf.getvalue()
+    phis, thetas, pl = deg_map.grid.phis, deg_map.grid.thetas, deg_map.pl_proxy
+    return _csv(
+        ["phi_deg", "theta_deg", "pl_proxy"],
+        ([fmt_gauss(phi), fmt_gauss(theta), f"{pl[i, j]:.6f}"]
+         for i, phi in enumerate(phis) for j, theta in enumerate(thetas)),
+    )
 
 
 def map_meta_to_json(deg_map) -> str:
@@ -193,13 +190,11 @@ def map_meta_to_json(deg_map) -> str:
 
 
 def loci_to_csv(loci: dict[str, np.ndarray]) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["plane", "phi_deg", "theta_deg"])
-    for name in sorted(loci):
-        for phi, theta in loci[name]:
-            w.writerow([name, fmt_gauss(phi), fmt_gauss(theta)])
-    return buf.getvalue()
+    return _csv(
+        ["plane", "phi_deg", "theta_deg"],
+        ([name, fmt_gauss(phi), fmt_gauss(theta)]
+         for name in sorted(loci) for phi, theta in loci[name]),
+    )
 
 
 def read_scan_csv(path: str | Path, kind: str | None = None) -> Spectrum:

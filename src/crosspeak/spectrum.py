@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .roots import bisect, first_crossing
-from .spin import Orientation, SpinSpecies, _unit, probe_frequencies, probe_zeeman
+from .spin import Orientation, SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
 
 # robust sigma from the median absolute deviation of a normal sample
 MAD_SIGMA = 1.4826
@@ -182,7 +182,7 @@ def field_for_frequency(
     if orientation is None:
         orientation = nv.orientations()[0]
     axis = _unit(axis)
-    h1 = probe_zeeman(nv, axis, orientation)
+    h1 = hamiltonian_parts(nv, axis, orientation)[1]
     b = _probe_fields(nv, h1, [frequency], b_max, tol)[0]
     if np.isnan(b):
         raise _not_reached(frequency, b_max)
@@ -211,7 +211,7 @@ def calibrate(
     if not np.all(np.isfinite(fid)):
         raise ValueError("fiducial voltages and frequencies must be finite")
     axis = _unit(axis)
-    h1 = np.array([probe_zeeman(nv, axis, o) for o in nv.orientations()])
+    h1 = np.array([hamiltonian_parts(nv, axis, o)[1] for o in nv.orientations()])
     volts, freqs = fid[:, 0], fid[:, 1]
     fields = _probe_fields(nv, h1[0], freqs, CALIBRATION_B_MAX, CALIBRATION_TOL)
     for freq, b in zip(freqs, fields):

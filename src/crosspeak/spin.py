@@ -240,12 +240,6 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-# S=1 operators and zero-field parts, formed as in hamiltonian_parts
-_SX1, _SY1, _SZ1 = spin_operators(1.0)
-_SZ2 = _SZ1 @ _SZ1
-_SXY = _SX1 @ _SX1 - _SY1 @ _SY1
-
-
 def hamiltonian_parts(
     species: SpinSpecies, axis, orientation: Orientation
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,12 +247,15 @@ def hamiltonian_parts(
 
     H0 carries the internal terms (zero-field splitting, hyperfine,
     quadrupole); H1 the electron and nuclear Zeeman terms per gauss.
+    ``axis`` is one unit lab axis (3,), giving H1 of shape (d, d), or a
+    stack (n, 3), giving (n, d, d) whose row k equals the single-axis H1
+    of axis k bit for bit; H0 is (d, d) either way.
     """
-    axis = np.asarray(axis, dtype=float)
-    b = orientation.rotation.T @ axis  # unit axis in the defect frame
+    b = np.asarray(axis, dtype=float) @ orientation.rotation  # defect frame
+    bx, by, bz = (b[..., k, None, None] for k in range(3))
     sx, sy, sz = spin_operators(species.S)
     h0 = species.D * (sz @ sz) + species.E * (sx @ sx - sy @ sy)
-    h1 = species.gamma_e * (b[0] * sx + b[1] * sy + b[2] * sz)
+    h1 = species.gamma_e * (bx * sx + by * sy + bz * sz)
     nuc = species.nuclear
     if nuc is None:
         return h0, h1
@@ -268,7 +265,7 @@ def hamiltonian_parts(
     eye_n = np.eye(ndim)
     h0 = np.kron(h0, eye_n)
     h1 = np.kron(h1, eye_n)
-    h1 = h1 + nuc.gamma_n * np.kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
+    h1 = h1 + nuc.gamma_n * np.kron(eye_e, bx * ix + by * iy + bz * iz)
     svec = [np.kron(op, eye_n) for op in (sx, sy, sz)]
     ivec = [np.kron(eye_e, op) for op in (ix, iy, iz)]
     for i in range(3):
@@ -574,19 +571,9 @@ def default_rule(species: SpinSpecies) -> ManifoldRule:
     return ManifoldRule.ALL_PAIRS
 
 
-def probe_zeeman(species: SpinSpecies, axis, orientation: Orientation) -> np.ndarray:
-    """Zeeman part H1 (MHz per gauss) of a bare S=1 species, the h1 that
-    ``probe_frequencies`` takes: (3, 3) for one unit lab axis (3,), a
-    stack (n, 3, 3) for unit axes (n, 3).  Equals ``hamiltonian_parts``'s
-    H1 bit for bit."""
-    if species.S != 1.0 or species.nuclear is not None:
-        raise ValueError("probe frequencies require a bare S=1 species")
-    b = np.asarray(axis, dtype=float) @ orientation.rotation  # defect frame
-    return species.gamma_e * (
-        b[..., 0, None, None] * _SX1
-        + b[..., 1, None, None] * _SY1
-        + b[..., 2, None, None] * _SZ1
-    )
+# S=1 zero-field parts per MHz of D and E, formed as in hamiltonian_parts
+_S1 = spin_operators(1.0)
+_SZ2, _SXY = _S1[2] @ _S1[2], _S1[0] @ _S1[0] - _S1[1] @ _S1[1]
 
 
 def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
@@ -597,13 +584,18 @@ def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
     order that ``hamiltonian_parts`` and ``build_hamiltonian`` use, so each
     row equals the single-matrix result bit for bit.  d, e and b (MHz, MHz,
     gauss) are scalars or length-n arrays; h1 is a stack (n, 3, 3) or
-    (1, 3, 3) of Zeeman parts from ``probe_zeeman``.  Valid while ms=0
-    stays the ground state, as for ``nv_probe_frequencies``.
+    (1, 3, 3) of Zeeman parts, ``hamiltonian_parts(...)[1]`` of a bare S=1
+    species (ValueError for any other size).  Valid while ms=0 stays the
+    ground state, as for ``nv_probe_frequencies``.
     """
+    h1 = np.asarray(h1)
+    if h1.shape[-2:] != (3, 3):
+        raise ValueError("probe frequencies require a bare S=1 species")
+
     def column(v):
         return np.reshape(np.asarray(v, dtype=float), (-1, 1, 1))
 
-    h = (column(d) * _SZ2 + column(e) * _SXY) + column(b) * np.asarray(h1)
+    h = (column(d) * _SZ2 + column(e) * _SXY) + column(b) * h1
     vals, _ = kernels.eigh_stack(h, compute_vectors=False)
     return vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]
 
@@ -618,6 +610,6 @@ def nv_probe_frequencies(
     ground-state level anticrossing), where sorting equals tracking; used
     on hot paths that need no labels.  A one-row ``probe_frequencies``.
     """
-    h1 = probe_zeeman(species, field.axis, orientation)
+    h1 = hamiltonian_parts(species, field.axis, orientation)[1]
     lower, upper = probe_frequencies(species.D, species.E, field.amplitude, h1[None])
     return float(lower[0]), float(upper[0])

@@ -9,9 +9,9 @@ reference D itself.
 
 All inversions of one budget (the center, the perturbed fits,
 calibrations and NV references, and every tilt azimuth and orientation
-pair) are bisected together: the Zeeman parts are built once per
-(species, orientation, axis) and each bisection step is one stacked
-eigensolve over every open bracket (``roots.bisect``).
+pair) are bisected together: the Zeeman parts are built in one stack
+per (species, orientation) over every axis, and each bisection step is
+one stacked eigensolve over every open bracket (``roots.bisect``).
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ import numpy as np
 
 from .roots import bisect
 from .spectrum import NoSolutionError, PeakFit
-from .spin import Orientation, SpinSpecies, _unit, probe_frequencies, probe_zeeman
+from .spin import Orientation, SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
 
 D_SEARCH_RANGE = (2000.0, 3000.0)
 D_BISECT_TOL = 1e-3  # MHz; well under the 0.01 MHz contract
 DEFAULT_NV_D_SIGMA = 1.0  # MHz
 N_TILT_AZIMUTHS = 8
+# largest axis tilt, degrees: a tilt beyond a right angle reverses the axis
+MAX_TILT_DEG = 90.0
 
 _BRANCH_INDEX = {"ms=0>ms=-1": 0, "ms=0>ms=+1": 1}
 
@@ -96,7 +98,7 @@ def infer_zfs(
     and NV-reference perturbation must have a crossing in ``d_range``
     (NoSolutionError otherwise); tilted class pairs without one are
     skipped.  The center and the four uncertainties must be finite and
-    >= 0 (ValueError otherwise).
+    >= 0, and the axis tilt at most MAX_TILT_DEG (ValueError otherwise).
     """
     if isinstance(peak, PeakFit):
         center = peak.center
@@ -109,6 +111,9 @@ def infer_zfs(
     fit_sigma = _non_negative("fit_sigma", fit_sigma)
     cal_uncertainty = _non_negative("cal_uncertainty", cal_uncertainty)
     angle_uncertainty = _non_negative("angle_uncertainty", angle_uncertainty)
+    if angle_uncertainty > MAX_TILT_DEG:
+        raise ValueError(f"angle_uncertainty must be at most {MAX_TILT_DEG:g} deg, "
+                         f"got {angle_uncertainty}")
     nv_d_sigma = _non_negative("nv_d_sigma", nv_d_sigma)
     nv_label, tgt_label = assumed_crossing
     try:
@@ -143,15 +148,10 @@ def infer_zfs(
             jobs += [("angle", center, nv.D, len(axes) - 1, i, j)
                      for i in range(len(nv_orients)) for j in range(len(tgt_orients))]
     terms, b, nv_d, ax, i_nv, i_tgt = zip(*jobs)
-    b, nv_d = np.array(b), np.array(nv_d)
-
-    def zeeman(species, orients, keys):
-        built = {key: probe_zeeman(species, axes[key[0]], orients[key[1]])
-                 for key in dict.fromkeys(keys)}
-        return np.array([built[key] for key in keys])
-
-    nv_h1 = zeeman(nv, nv_orients, list(zip(ax, i_nv)))
-    tgt_h1 = zeeman(target, tgt_orients, list(zip(ax, i_tgt)))
+    b, nv_d, axes = np.array(b), np.array(nv_d), np.array(axes)
+    # one Zeeman stack per orientation over every axis, indexed [orientation, axis]
+    nv_h1 = np.array([hamiltonian_parts(nv, axes, o)[1] for o in nv_orients])[i_nv, ax]
+    tgt_h1 = np.array([hamiltonian_parts(target, axes, o)[1] for o in tgt_orients])[i_tgt, ax]
     f_nv = probe_frequencies(nv_d, nv.E, b, nv_h1)[nv_branch]
 
     def gap(d, rows):

@@ -162,6 +162,18 @@ def test_crossings_format_selection(tmp_path):
     assert not (tmp_path / "crossings.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["crossings", "fit"])
+@pytest.mark.parametrize("text", ["xml", "csv,xml", "CSV", ""])
+def test_unknown_format_is_usage_error(tmp_path, scan_file, capsys, command, text):
+    argv = (["crossings", "--a", "NV", "--b", "WAR1", "--range", "100:145:0.5"]
+            if command == "crossings" else ["fit", scan_file])
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--outdir", tmp_path, f"--format={text}"])
+    assert exc.value.code == 2
+    assert f"format must be csv, json or csv,json, not {text!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [scan_file.name]
+
+
 def test_crossings_requires_pair(tmp_path, capsys):
     code = run(["crossings", "--a", "NV", "--outdir", tmp_path])
     assert code == 2
@@ -361,6 +373,30 @@ def test_invert_report_null_sigma_is_usage_error(tmp_path, capsys):
     report.write_text('{"peaks": [{"center_G": 54.2522, "center_sigma_G": null}]}')
     assert run(["invert", "--report", report, "--outdir", tmp_path]) == 2
     assert "fit_sigma must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "zfs.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"peaks": [{"center_sigma_G": 0.1}]}',
+        '{"peaks": [{"center_G": [54.2522]}]}',
+        '[{"center_G": 54.2522}]',
+    ],
+    ids=["missing-center", "list-center", "top-level-list"],
+)
+def test_invert_malformed_report_is_usage_error(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert run(["invert", "--report", report, "--outdir", tmp_path]) == 2
+    assert "a number or null as each peak's center_G" in capsys.readouterr().err
+    assert not (tmp_path / "zfs.json").exists()
+
+
+def test_invert_angle_sigma_beyond_a_right_angle_is_usage_error(tmp_path, capsys):
+    argv = ["invert", "--center", "54.2522", "--angle-sigma", "400", "--outdir", tmp_path]
+    assert run(argv) == 2
+    assert "angle_uncertainty must be at most 90 deg" in capsys.readouterr().err
     assert not (tmp_path / "zfs.json").exists()
 
 

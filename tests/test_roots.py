@@ -3,6 +3,7 @@ scalar loops they replace: equal bit for bit, since the arithmetic per
 row is unchanged."""
 
 import numpy as np
+import pytest
 
 from crosspeak import kernels
 from crosspeak.roots import bisect, first_crossing
@@ -14,7 +15,6 @@ from crosspeak.spin import (
     hamiltonian_parts,
     nv_probe_frequencies,
     probe_frequencies,
-    probe_zeeman,
 )
 
 
@@ -84,7 +84,7 @@ def test_probe_frequencies_equal_single_matrix_solves(catalog, rng):
         axis /= np.linalg.norm(axis)
         for ori in [*Orientation.all_classes(), Orientation.lab()]:
             fields = np.concatenate([[0.0], rng.uniform(0.0, 300.0, 9)])
-            h1 = probe_zeeman(sp, axis, ori)
+            h1 = hamiltonian_parts(sp, axis, ori)[1]
             lower, upper = probe_frequencies(sp.D, sp.E, fields, h1[None])
             for b, lo, hi in zip(fields, lower, upper):
                 field = MagneticField(b, axis)
@@ -94,15 +94,22 @@ def test_probe_frequencies_equal_single_matrix_solves(catalog, rng):
                 assert (lo, hi) == nv_probe_frequencies(sp, field, ori)
 
 
-def test_probe_zeeman_stack_equals_hamiltonian_parts(catalog, rng):
-    axes = rng.normal(size=(50, 3))
+def test_hamiltonian_parts_stack_equals_single_axis_builds(catalog, rng):
+    axes = rng.normal(size=(40, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
-    for name in ("NV", "VH-", "WAR1", "NV-2872"):
-        sp = catalog[name]
-        for ori in [*Orientation.all_classes(), Orientation.lab()]:
-            stack = probe_zeeman(sp, axes, ori)
-            assert stack.shape == (len(axes), 3, 3)
+    for sp in catalog.values():
+        for ori in [*sp.orientations(), Orientation.lab()]:
+            h0, stack = hamiltonian_parts(sp, axes, ori)
+            assert stack.shape == (len(axes), sp.dim, sp.dim)
             for axis, row in zip(axes, stack):
-                h1 = hamiltonian_parts(sp, axis, ori)[1]
-                assert np.array_equal(probe_zeeman(sp, axis, ori), h1)
-                assert np.max(np.abs(row - h1)) <= 1e-12
+                h0_k, h1_k = hamiltonian_parts(sp, axis, ori)
+                assert np.array_equal(row, h1_k)
+                assert np.array_equal(h0, h0_k)
+
+
+def test_probe_frequencies_reject_other_than_bare_s1(catalog):
+    for name in ("P1", "NV-13C"):
+        h1 = hamiltonian_parts(catalog[name], np.array([1.0, 0.0, 0.0]),
+                               Orientation.nv_class(1))[1]
+        with pytest.raises(ValueError, match="bare S=1"):
+            probe_frequencies(2870.0, 0.0, 10.0, h1[None])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crosspeak.angular import AngleGrid, field_from_angles, simulate_map
+from crosspeak.angular import field_from_angles
 from crosspeak.spectrum import (
     AbscissaKind,
     CalibrationMap,
@@ -193,12 +193,11 @@ def test_calibrate_input_validation(nv):
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 0.0)])
 @pytest.mark.parametrize(
     "solver",
-    ["infer_zfs", "field_for_frequency", "calibrate", "field_from_angles", "simulate_map"],
+    ["infer_zfs", "field_for_frequency", "calibrate", "field_from_angles"],
 )
 def test_axis_without_direction_rejected(nv, solver, axis):
     # a clear input error up front, not LinAlgError from the eigensolver
     volt_scan = Spectrum(np.linspace(0.0, 2.0, 32), np.ones(32), AbscissaKind.VOLTAGE)
-    grid = AngleGrid(phi_max=5.0, theta_max=5.0, n_phi=7, n_theta=7)
     calls = {
         "infer_zfs": lambda: infer_zfs(54.0, 1.0, 0.5, nv, axis=axis),
         "field_for_frequency": lambda: field_for_frequency(nv, axis, 2900.0),
@@ -206,7 +205,6 @@ def test_axis_without_direction_rejected(nv, solver, axis):
             volt_scan, [(0.5, 2900.0), (1.0, 3000.0)], nv, axis
         ),
         "field_from_angles": lambda: field_from_angles(axis, 3.0, 3.0, 115.0),
-        "simulate_map": lambda: simulate_map(grid, 115.0, nv, reference_axis=axis),
     }
     with pytest.raises(ValueError, match="direction") as err:
         calls[solver]()

@@ -5,6 +5,7 @@ import pytest
 
 from crosspeak.crossings import SweepSpec, find_crossings, sweep_curves
 from crosspeak.spectrum import NoSolutionError, PeakFit
+from crosspeak.spin import hamiltonian_parts
 from crosspeak.zfs import ZfsEstimate, infer_zfs
 
 AX_100 = np.array([1.0, 0.0, 0.0])
@@ -148,3 +149,25 @@ def test_rejects_non_finite_or_negative_inputs(nv):
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 infer_zfs(54.2522, **{**good, name: bad})
+
+
+def test_tilt_beyond_a_right_angle_rejected(nv):
+    assert np.isfinite(infer_zfs(54.2522, 1.0, 90.0, nv).D)
+    for bad in (90.5, 400.0):
+        with pytest.raises(ValueError, match="angle_uncertainty must be at most 90 deg"):
+            infer_zfs(54.2522, 1.0, bad, nv)
+
+
+def test_zeeman_parts_built_once_per_orientation(nv, monkeypatch):
+    # one stack over all nine axes per NV and per target orientation
+    from crosspeak import zfs
+
+    shapes = []
+
+    def counted(species, axis, orientation):
+        shapes.append(np.shape(axis))
+        return hamiltonian_parts(species, axis, orientation)
+
+    monkeypatch.setattr(zfs, "hamiltonian_parts", counted)
+    infer_zfs(54.2522, cal_uncertainty=1.0, angle_uncertainty=0.5, nv=nv)
+    assert shapes == [(1 + zfs.N_TILT_AZIMUTHS, 3)] * 8

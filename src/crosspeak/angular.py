@@ -1,4 +1,4 @@
-"""Angular PL map around [100] and the ODMR line structure.
+"""Angular PL map around [100].
 
 Same-species cross-relaxation lights up wherever two NV orientation
 classes become degenerate; sweeping the field direction around [100]
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import MagneticField, SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
+from .spin import SpinSpecies, hamiltonian_parts, probe_frequencies
 
 DEFAULT_LINEWIDTH = 6.0  # MHz, FWHM; the NV decoherence scale
 DEFAULT_CONTRAST = 0.05
-MERGE_TOL = 0.1  # MHz; ODMR lines closer than this count as one
-# goniometer limit on |phi| and |theta|, degrees (see field_from_angles)
+# goniometer limit on |phi| and |theta|, degrees, that AngleGrid enforces
 MAX_ANGLE_DEG = 90.0
 # most grid points per angle axis: four times the 101 of the CLI default,
 # about 0.65 million 3x3 eigensolves over the four classes
@@ -42,29 +41,6 @@ def _goniometer_axes(ref: np.ndarray, phis, thetas) -> np.ndarray:
     ax[:, :, 1] = x1[:, None] * st[None, :] + y1[:, None] * ct[None, :]
     ax[:, :, 2] = z1[:, None]
     return ax
-
-
-def field_from_angles(reference_axis, phi: float, theta: float, amplitude: float) -> MagneticField:
-    """Field tilted from ``reference_axis`` by goniometer angles (degrees):
-    phi about the lab y axis first, then theta about z."""
-    if abs(phi) > MAX_ANGLE_DEG or abs(theta) > MAX_ANGLE_DEG:
-        raise ValueError("goniometer angles must satisfy |phi|, |theta| <= 90 deg")
-    axis = _goniometer_axes(_unit(reference_axis), [phi], [theta])[0, 0]
-    return MagneticField(amplitude, axis / np.linalg.norm(axis))
-
-
-def odmr_lines(field: MagneticField, nv: SpinSpecies, merge_tol: float = MERGE_TOL):
-    """Probe frequencies over the four classes as (frequency, multiplicity),
-    ascending, with lines closer than ``merge_tol`` merged."""
-    h1 = np.array([hamiltonian_parts(nv, field.axis, o)[1] for o in nv.orientations()])
-    freqs = np.sort(np.concatenate(probe_frequencies(nv.D, nv.E, field.amplitude, h1)))
-    merged: list[list[float]] = []
-    for f in freqs:
-        if merged and f - merged[-1][-1] <= merge_tol:
-            merged[-1].append(f)
-        else:
-            merged.append([f])
-    return [(float(np.mean(group)), len(group)) for group in merged]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +92,6 @@ class DegeneracyMap:
             near_theta = np.abs(thetas[:, None] - locus[:, 1]) <= half_theta
             masks[name] = near_phi @ near_theta.T  # boolean: any locus point near both
         return masks
-
-    def labels_at(self, i: int, j: int) -> tuple[str, ...]:
-        return tuple(name for name, m in self.plane_masks.items() if m[i, j])
 
 
 def _probe_freq_grid(nv: SpinSpecies, grid: AngleGrid, amplitude: float) -> np.ndarray:

@@ -84,9 +84,9 @@ class TransitionCurve:
     The curve reads the levels ``pair`` = (i, j) of its track, |E_j - E_i|,
     less the levels ``minus`` when set (the NV branch difference).
     ``multiplicity`` counts coincident curves merged into this one (e.g.
-    the four NV orientation classes on a [100] sweep).  ``freq_at``
-    re-evaluates the exact Hamiltonian, so refinement does not rely on
-    the sampled grid.
+    the four NV orientation classes on a [100] sweep).  Refinement reads
+    ``freq_of`` on energies that ``crossings._freqs`` re-evaluates on the
+    exact Hamiltonian, so it does not rely on the sampled grid.
     """
 
     track: LevelTrack = dataclass_field(repr=False)
@@ -117,7 +117,8 @@ class TransitionCurve:
 
     def freq_at(self, amplitude):
         """Frequency at one field amplitude or at each of an array of them,
-        re-evaluated on the exact Hamiltonian in one stacked call."""
+        re-evaluated on the exact Hamiltonian in one stacked call.
+        Refinement does not call it; it batches tracks through ``_freqs``."""
         return self.freq_of(self.track.energies_at(np.asarray(amplitude, dtype=float)))
 
 

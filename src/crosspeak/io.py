@@ -209,6 +209,8 @@ def read_scan_csv(path: str | Path, kind: str | None = None) -> Spectrum:
     sidecar = path.with_name(path.name + ".meta.json")
     if sidecar.exists():
         metadata = json.loads(sidecar.read_text())
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{sidecar}: scan metadata must be a JSON object")
         if kind is None:
             kind = metadata.get("abscissa_kind")
     with open(path, newline="") as fh:

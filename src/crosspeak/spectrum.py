@@ -111,11 +111,6 @@ class CalibrationMap:
             out = np.where(hi, fa[-1] + s * (v - va[-1]), out)
         return out
 
-    def voltage_of(self, field) -> np.ndarray:
-        # invert by swapping roles; fields are monotone by construction
-        inv = CalibrationMap(self.anchors[:, ::-1])
-        return inv.field_of(field)
-
     def apply(self, spectrum: Spectrum) -> Spectrum:
         if spectrum.kind is not AbscissaKind.VOLTAGE:
             raise ValueError("calibration applies to voltage scans")
@@ -293,7 +288,9 @@ def detect_peaks(residual: Spectrum, k: float = DETECT_K) -> list[PeakWindow]:
     depth condition restores the near-zero false-positive rate, and the
     prominence condition keeps noise wiggles inside a deep dip from
     spawning extra windows.  Windows span +-3 estimated widths; windows
-    cut short by the scan edge carry the "edge-truncated" flag.
+    cut short by the scan edge carry the "edge-truncated" flag.  A
+    candidate whose centre lies inside the window of a more prominent one
+    is a noise wiggle on that dip and is dropped.
     """
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"detection threshold must be finite and > 0, not {k}")
@@ -328,7 +325,10 @@ def detect_peaks(residual: Spectrum, k: float = DETECT_K) -> list[PeakWindow]:
                 flags=flags,
             )
         )
-    return out
+    return [
+        w for w in out
+        if not any(o.prominence > w.prominence and o.lo <= w.center_guess <= o.hi for o in out)
+    ]
 
 
 @dataclass(eq=False)
@@ -357,10 +357,6 @@ class PeakFit:
     @property
     def converged(self) -> bool:
         return "no-convergence" not in self.flags
-
-    @property
-    def poor_fit(self) -> bool:
-        return "poor-fit" in self.flags
 
 
 def _runs_z(residuals: np.ndarray) -> float:

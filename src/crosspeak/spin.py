@@ -25,12 +25,6 @@ from . import kernels
 
 # Electron gyromagnetic ratio, MHz/G (free-electron value used throughout).
 GAMMA_E = 2.8025
-# 13C nuclear gyromagnetic ratio: 10.7 MHz/T.
-GAMMA_N_13C = 1.07e-3
-# 14N nuclear gyromagnetic ratio, MHz/G.
-GAMMA_N_14N = 3.077e-4
-# NV- ground-state zero-field splitting, MHz.
-D_NV = 2870.0
 
 HERMITICITY_TOL = 1e-9
 # Matched-overlap threshold below which adiabatic tracking is flagged.
@@ -39,14 +33,6 @@ TRACKING_OVERLAP_MIN = 0.5
 DEGENERACY_TOL = 1e-6
 
 _SQRT3 = np.sqrt(3.0)
-
-# Unnormalised <111> symmetry axes of the four orientation classes.
-_CLASS_AXES = {
-    1: (1.0, 1.0, 1.0),
-    2: (1.0, -1.0, -1.0),
-    3: (-1.0, 1.0, -1.0),
-    4: (-1.0, -1.0, 1.0),
-}
 
 # Defect-frame triad of class 1; classes 2-4 follow by the C2 rotations
 # about the cube axes, which keeps the four classes exactly equivalent for
@@ -89,35 +75,6 @@ def _unit(v) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MagneticField:
-    """Field of given amplitude (gauss) along a unit axis in the lab frame."""
-
-    amplitude: float
-    axis: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("field amplitude must be >= 0")
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError("axis must have unit norm (within 1e-12)")
-        axis = axis.copy()
-        axis.flags.writeable = False
-        object.__setattr__(self, "axis", axis)
-
-    @classmethod
-    def along(cls, direction, amplitude: float) -> "MagneticField":
-        """Field along an (unnormalised) lattice direction like [1,1,1]."""
-        return cls(amplitude, _unit(direction))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.amplitude * self.axis
-
-
-@dataclass(frozen=True, eq=False)
 class Orientation:
     """Defect frame: columns of ``rotation`` are the defect x,y,z axes in
     lab coordinates, z being the symmetry axis."""
@@ -133,14 +90,10 @@ class Orientation:
         rot.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
 
-    @property
-    def symmetry_axis(self) -> np.ndarray:
-        return self.rotation[:, 2]
-
     @classmethod
     def nv_class(cls, k: int) -> "Orientation":
         """One of the four <111> orientation classes (k = 1..4)."""
-        if k not in _CLASS_AXES:
+        if k not in _C2_OPS:
             raise ValueError("orientation class must be 1..4")
         return cls(str(k), _C2_OPS[k] @ _BASE_TRIAD)
 
@@ -152,10 +105,6 @@ class Orientation:
     def lab(cls) -> "Orientation":
         """Defect frame coincides with the lab frame."""
         return cls("lab", np.eye(3))
-
-    def rotated(self, rot) -> "Orientation":
-        """This orientation rigidly rotated by ``rot`` in the lab frame."""
-        return Orientation(self.label, np.asarray(rot, dtype=float) @ self.rotation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +170,7 @@ class SpinSpecies:
         return Orientation.all_classes()
 
 
-def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sx, Sy, Sz for spin s in the basis |s>, |s-1>, ..., |-s>.
-
-    Satisfy [Sx, Sy] = i Sz (cyclically); Sz = diag(s, ..., -s).
-    """
-    if s not in (0.5, 1.0):
-        raise ValueError("unsupported spin value (must be 1/2 or 1)")
+def _build_spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dim = int(round(2 * s + 1))
     m = s - np.arange(dim)
     sz = np.diag(m).astype(complex)
@@ -235,9 +178,25 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for k in range(1, dim):
         sp[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
     sm = sp.conj().T
-    sx = (sp + sm) / 2
-    sy = (sp - sm) / 2j
-    return sx, sy, sz
+    ops = ((sp + sm) / 2, (sp - sm) / 2j, sz)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+# Sx, Sy, Sz of every supported spin, built once and shared read-only
+_SPIN_OPS = {s: _build_spin_operators(s) for s in (0.5, 1.0)}
+
+
+def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sx, Sy, Sz for spin s in the basis |s>, |s-1>, ..., |-s>.
+
+    Satisfy [Sx, Sy] = i Sz (cyclically); Sz = diag(s, ..., -s).  The
+    arrays are read-only and shared between calls.
+    """
+    if s not in (0.5, 1.0):
+        raise ValueError("unsupported spin value (must be 1/2 or 1)")
+    return _SPIN_OPS[s]
 
 
 def hamiltonian_parts(
@@ -253,13 +212,13 @@ def hamiltonian_parts(
     """
     b = np.asarray(axis, dtype=float) @ orientation.rotation  # defect frame
     bx, by, bz = (b[..., k, None, None] for k in range(3))
-    sx, sy, sz = spin_operators(species.S)
+    sx, sy, sz = _SPIN_OPS[species.S]
     h0 = species.D * (sz @ sz) + species.E * (sx @ sx - sy @ sy)
     h1 = species.gamma_e * (bx * sx + by * sy + bz * sz)
     nuc = species.nuclear
     if nuc is None:
         return h0, h1
-    ix, iy, iz = spin_operators(nuc.I)
+    ix, iy, iz = _SPIN_OPS[nuc.I]
     ndim = ix.shape[0]
     eye_e = np.eye(h0.shape[0])
     eye_n = np.eye(ndim)
@@ -279,14 +238,6 @@ def hamiltonian_parts(
     return h0, h1
 
 
-def build_hamiltonian(
-    species: SpinSpecies, field: MagneticField, orientation: Orientation
-) -> np.ndarray:
-    """Full Hamiltonian (MHz) of one species at one field, defect frame."""
-    h0, h1 = hamiltonian_parts(species, field.axis, orientation)
-    return h0 + field.amplitude * h1
-
-
 def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal column eigenvectors.
 
@@ -301,7 +252,7 @@ def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sz_operator(species: SpinSpecies) -> np.ndarray:
-    _, _, sz = spin_operators(species.S)
+    sz = _SPIN_OPS[species.S][2]
     if species.nuclear is not None:
         sz = np.kron(sz, np.eye(int(round(2 * species.nuclear.I + 1))))
     return sz
@@ -572,7 +523,7 @@ def default_rule(species: SpinSpecies) -> ManifoldRule:
 
 
 # S=1 zero-field parts per MHz of D and E, formed as in hamiltonian_parts
-_S1 = spin_operators(1.0)
+_S1 = _SPIN_OPS[1.0]
 _SZ2, _SXY = _S1[2] @ _S1[2], _S1[0] @ _S1[0] - _S1[1] @ _S1[1]
 
 
@@ -581,12 +532,13 @@ def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
     from sorted eigenvalues, in one stacked eigensolve.
 
     Row k is (d[k]*Sz^2 + e[k]*(Sx^2 - Sy^2)) + b[k]*h1[k], summed in the
-    order that ``hamiltonian_parts`` and ``build_hamiltonian`` use, so each
-    row equals the single-matrix result bit for bit.  d, e and b (MHz, MHz,
-    gauss) are scalars or length-n arrays; h1 is a stack (n, 3, 3) or
-    (1, 3, 3) of Zeeman parts, ``hamiltonian_parts(...)[1]`` of a bare S=1
-    species (ValueError for any other size).  Valid while ms=0 stays the
-    ground state, as for ``nv_probe_frequencies``.
+    order of H0 + B * H1 from ``hamiltonian_parts``, so each row equals
+    the single-matrix result bit for bit.  d, e and b (MHz, MHz, gauss)
+    are scalars or length-n arrays; h1 is a stack (n, 3, 3) or (1, 3, 3)
+    of Zeeman parts, ``hamiltonian_parts(...)[1]`` of a bare S=1 species
+    (ValueError for any other size).  Valid while ms=0 stays the ground
+    state (fields well below the ground-state level anticrossing), where
+    sorting equals tracking.
     """
     h1 = np.asarray(h1)
     if h1.shape[-2:] != (3, 3):
@@ -601,15 +553,11 @@ def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nv_probe_frequencies(
-    species: SpinSpecies, field: MagneticField, orientation: Orientation
+    species: SpinSpecies, amplitude: float, axis, orientation: Orientation
 ) -> tuple[float, float]:
-    """(lower, upper) probe frequencies of a bare S=1 species from sorted
-    eigenvalues.
-
-    Valid while ms=0 stays the ground state (fields well below the
-    ground-state level anticrossing), where sorting equals tracking; used
-    on hot paths that need no labels.  A one-row ``probe_frequencies``.
-    """
-    h1 = hamiltonian_parts(species, field.axis, orientation)[1]
-    lower, upper = probe_frequencies(species.D, species.E, field.amplitude, h1[None])
+    """(lower, upper) probe frequencies of a bare S=1 species at one field
+    ``amplitude`` (gauss) along the unit lab ``axis``: a one-row
+    ``probe_frequencies``, valid where it is."""
+    h1 = hamiltonian_parts(species, axis, orientation)[1]
+    lower, upper = probe_frequencies(species.D, species.E, amplitude, h1[None])
     return float(lower[0]), float(upper[0])

@@ -1,9 +1,10 @@
 """Angle-resolved degeneracy map and ODMR line structure.
 
-The per-class oracle rebuilds each class Hamiltonian from the polar
-angle alone (D Sz^2 + gamma B (cos a Sz + sin a Sx)), which is unitarily
-equivalent to the full 3-d assembly and uses none of the package's
-rotation plumbing.
+The ODMR lines are the probe frequencies the map is built from
+(``_probe_freq_grid``).  The per-class oracle rebuilds each class
+Hamiltonian from the polar angle alone (D Sz^2 + gamma B (cos a Sz +
+sin a Sx)), which is unitarily equivalent to the full 3-d assembly and
+uses none of the package's rotation plumbing.
 """
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from crosspeak.angular import (
     AngleGrid,
-    field_from_angles,
-    odmr_lines,
+    _goniometer_axes,
+    _probe_freq_grid,
     plane_loci,
     simulate_map,
 )
@@ -46,73 +47,73 @@ def class_branch_freqs(u, n, b, d=2870.0, g=2.8025):
     return e[1] - e[0], e[2] - e[0]
 
 
+def oracle_freqs(phi_deg, theta_deg, b=115.0):
+    """The eight class-branch probe frequencies, ascending, from the oracle."""
+    n = direction(phi_deg, theta_deg)
+    return np.sort([f for u in BODY_DIAGONALS for f in class_branch_freqs(u, n, b)])
+
+
+def line_multiplicities(freqs, merge_tol=0.1):
+    """Multiplicities of the ascending ODMR lines, lines closer than
+    merge_tol (MHz) counting as one."""
+    f = np.sort(np.ravel(freqs))
+    return [len(g) for g in np.split(f, np.flatnonzero(np.diff(f) > merge_tol) + 1)]
+
+
 # -------------------------------------------------------------- geometry
 
 def test_field_from_angles_identity():
-    f = field_from_angles(REF, 0.0, 0.0, 115.0)
-    assert f.amplitude == 115.0
-    assert np.allclose(f.axis, REF, atol=1e-12)
+    assert np.allclose(_goniometer_axes(REF, [0.0], [0.0])[0, 0], REF, atol=1e-12)
 
 
 def test_field_from_angles_quarter_turns():
-    f = field_from_angles(REF, 90.0, 0.0, 10.0)
-    assert np.allclose(f.axis, [0.0, 0.0, -1.0], atol=1e-12)
-    f = field_from_angles(REF, 0.0, 90.0, 10.0)
-    assert np.allclose(f.axis, [0.0, 1.0, 0.0], atol=1e-12)
+    axes = _goniometer_axes(REF, [90.0, 0.0], [0.0, 90.0])
+    assert np.allclose(axes[0, 0], [0.0, 0.0, -1.0], atol=1e-12)
+    assert np.allclose(axes[1, 1], [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_field_from_angles_composition_order():
     # phi about y first, then theta about z
-    f = field_from_angles(REF, 3.0, 3.0, 1.0)
-    assert np.allclose(f.axis, direction(3.0, 3.0), atol=1e-12)
-    assert not np.allclose(f.axis, direction(3.0, 0.0), atol=1e-6)
-
-
-def test_field_from_angles_range_check():
-    with pytest.raises(ValueError):
-        field_from_angles(REF, 91.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        field_from_angles(REF, 0.0, -90.5, 1.0)
+    axis = _goniometer_axes(REF, [3.0], [3.0])[0, 0]
+    assert np.allclose(axis, direction(3.0, 3.0), atol=1e-12)
+    assert not np.allclose(axis, direction(3.0, 0.0), atol=1e-6)
 
 
 # ------------------------------------------------------------ odmr lines
 
-def test_odmr_lines_on_axis(nv):
-    lines = odmr_lines(field_from_angles(REF, 0.0, 0.0, 115.0), nv)
-    assert len(lines) == 2
-    assert [m for _, m in lines] == [4, 4]
-    lo, hi = lines[0][0], lines[1][0]
-    assert lo < 2870.0 < hi
+@pytest.fixture(scope="module")
+def freqs_3deg(nv):
+    """Probe frequencies f[i, j, class, branch] at phi, theta in {-3, 0, 3}."""
+    return _probe_freq_grid(nv, AngleGrid(3.0, 3.0, 3, 3), 115.0)
 
 
-def test_odmr_lines_three_three(nv):
-    lines = odmr_lines(field_from_angles(REF, 3.0, 3.0, 115.0), nv)
+def test_odmr_lines_on_axis(freqs_3deg):
+    f = freqs_3deg[1, 1]
+    assert line_multiplicities(f) == [4, 4]
+    assert np.max(f[:, 0]) < 2870.0 < np.min(f[:, 1])
+
+
+def test_odmr_lines_three_three(freqs_3deg):
+    lines = line_multiplicities(freqs_3deg[2, 2])
     assert len(lines) == 6
-    assert sorted(m for _, m in lines) == [1, 1, 1, 1, 2, 2]
-    assert sum(m for _, m in lines) == 8
+    assert sorted(lines) == [1, 1, 1, 1, 2, 2]
+    assert sum(lines) == 8
 
 
 def test_odmr_lines_match_polar_angle_oracle(nv):
-    n = direction(7.0, 13.0)
-    field = field_from_angles(REF, 7.0, 13.0, 115.0)
-    expected = []
-    for u in BODY_DIAGONALS:
-        expected.extend(class_branch_freqs(u, n, 115.0))
-    expected.sort()
-    got = []
-    for f, m in odmr_lines(field, nv, merge_tol=1e-9):
-        got.extend([f] * m)
-    assert len(got) == 8
-    assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-6
+    f = _probe_freq_grid(nv, AngleGrid(7.0, 13.0, 3, 3), 115.0)[2, 2]
+    assert np.max(np.abs(np.sort(f.ravel()) - oracle_freqs(7.0, 13.0))) < 1e-6
 
 
 def test_odmr_merge_preserves_multiplicity(nv, rng):
     for _ in range(5):
-        phi, theta = rng.uniform(-15.0, 15.0, size=2)
-        lines = odmr_lines(field_from_angles(REF, phi, theta, 115.0), nv)
-        assert sum(m for _, m in lines) == 8
-        fs = [f for f, _ in lines]
-        assert fs == sorted(fs)
+        phi_max, theta_max = rng.uniform(1.0, 15.0, size=2)
+        grid = AngleGrid(phi_max, theta_max, 3, 3)
+        f = _probe_freq_grid(nv, grid, 115.0)
+        for i, phi in enumerate(grid.phis):
+            for j, theta in enumerate(grid.thetas):
+                assert sum(line_multiplicities(f[i, j])) == 8
+                assert np.max(np.abs(np.sort(f[i, j].ravel()) - oracle_freqs(phi, theta))) < 1e-6
 
 
 # ------------------------------------------------------------------ grid
@@ -122,6 +123,8 @@ def test_angle_grid_validation():
         AngleGrid(phi_max=-1.0, theta_max=10.0, n_phi=11, n_theta=11)
     with pytest.raises(ValueError):
         AngleGrid(phi_max=10.0, theta_max=10.0, n_phi=2, n_theta=11)
+    with pytest.raises(ValueError):
+        AngleGrid(phi_max=91.0, theta_max=10.0, n_phi=11, n_theta=11)
     g = AngleGrid(phi_max=10.0, theta_max=20.0, n_phi=5, n_theta=9)
     assert g.phis[0] == -10.0 and g.phis[-1] == 10.0
     assert len(g.thetas) == 9 and g.thetas[4] == 0.0
@@ -175,11 +178,13 @@ def test_map_dark_on_plane_masks(small_map):
 
 
 def test_map_labels_at_center(small_map):
-    labels = small_map.labels_at(10, 10)
-    assert set(labels) == {"010", "001", "011", "01-1"}
+    def labels_at(i, j):
+        return {name for name, m in small_map.plane_masks.items() if m[i, j]}
+
+    assert labels_at(10, 10) == {"010", "001", "011", "01-1"}
     # off-center on the theta = 0 line only the "010" plane remains
-    assert small_map.labels_at(2, 10) == ("010",)
-    assert small_map.labels_at(10, 2) == ("001",)
+    assert labels_at(2, 10) == {"010"}
+    assert labels_at(10, 2) == {"001"}
 
 
 def test_map_zero_field_flagged(nv):

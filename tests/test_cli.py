@@ -259,6 +259,15 @@ def test_fit_nan_count_is_input_error(tmp_path, scan_file, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("sidecar", ["[1]", '"x"', "null"])
+def test_fit_sidecar_not_an_object_is_input_error(tmp_path, scan_file, capsys, sidecar):
+    (tmp_path / "scan.csv.meta.json").write_text(sidecar)
+    outdir = tmp_path / "out"
+    assert run(["fit", scan_file, "--outdir", outdir]) == 2
+    assert "scan.csv.meta.json: scan metadata must be a JSON object" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [
@@ -425,7 +434,7 @@ def test_map_outputs(tmp_path, capsys):
         (["--phi-max", "nan"], "angle ranges"),
         (["--theta-max", "inf"], "angle ranges"),
         (["--species", "P1"], "bare S=1"),
-        # beyond the goniometer limit of field_from_angles
+        # beyond the goniometer limit that AngleGrid enforces
         (["--phi-max", "120"], "at most 90 deg"),
         (["--theta-max", "90.5"], "at most 90 deg"),
         (["--steps", "402"], "steps per axis"),

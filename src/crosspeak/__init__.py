@@ -8,7 +8,6 @@ from .spin import (
     Orientation,
     SpinSpecies,
     TrackingWarning,
-    eigensystem,
     spin_operators,
     track_levels,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Orientation",
     "SpinSpecies",
     "TrackingWarning",
-    "eigensystem",
     "load_catalog",
     "spin_operators",
     "track_levels",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinSpecies, hamiltonian_parts, probe_frequencies
+from .spin import SpinSpecies, nv_probe_frequencies
 
 DEFAULT_LINEWIDTH = 6.0  # MHz, FWHM; the NV decoherence scale
 DEFAULT_CONTRAST = 0.05
@@ -97,10 +97,8 @@ class DegeneracyMap:
 def _probe_freq_grid(nv: SpinSpecies, grid: AngleGrid, amplitude: float) -> np.ndarray:
     """Probe frequencies f[i, j, class, branch] over the angle grid."""
     flat_axes = _goniometer_axes(REFERENCE_AXIS, grid.phis, grid.thetas).reshape(-1, 3)
-    per_class = [
-        probe_frequencies(nv.D, nv.E, amplitude, hamiltonian_parts(nv, flat_axes, orientation)[1])
-        for orientation in nv.orientations()
-    ]
+    per_class = [nv_probe_frequencies(nv, amplitude, flat_axes, orientation)
+                 for orientation in nv.orientations()]
     # (class, branch, point) -> (i, j, class, branch)
     return np.moveaxis(np.array(per_class), 2, 0).reshape(grid.n_phi, grid.n_theta, -1, 2)
 

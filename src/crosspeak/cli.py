@@ -173,7 +173,10 @@ def cmd_invert(args, catalog) -> int:
     if args.center is not None:
         jobs.append((args.center, args.fit_sigma))
     elif args.report:
-        payload = json.loads(Path(args.report).read_text())
+        try:
+            payload = json.loads(Path(args.report).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.report}: not valid JSON: {exc}") from None
         try:
             for p in payload.get("peaks", []):
                 # null stands for a non-finite value, which the inversion rejects

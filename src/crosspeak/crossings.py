@@ -15,6 +15,7 @@ import numpy as np
 
 from .roots import bisect
 from .spin import (
+    RAMP_STEP_G,
     LevelTrack,
     ManifoldRule,
     SpinSpecies,
@@ -32,8 +33,8 @@ FREQ_MATCH_TOL = 1e-3
 EVENT_MERGE_G = 0.05
 # |f_a - f_b| below this at a grid node counts as an exact on-grid root
 GRID_ZERO_TOL = 1e-9
-# most field points a sweep may track, counted as B_max / min(step, 0.5 G):
-# its grid plus the zero-field ramp (step <= 0.5 G) that track_levels adds
+# most field points a sweep may track, counted as B_max / min(step, RAMP_STEP_G):
+# its grid plus the zero-field ramp that track_levels adds
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -59,9 +60,9 @@ class SweepSpec:
             raise ValueError("step must be > 0 with at least 2 steps in range")
         if self.b_min < 0:
             raise ValueError("field amplitudes are non-negative")
-        if self.b_max / min(self.step, 0.5) > MAX_SWEEP_POINTS:
+        if self.b_max / min(self.step, RAMP_STEP_G) > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep exceeds the limit of {MAX_SWEEP_POINTS} field "
-                             "points, counted as B_max / min(step, 0.5 G)")
+                             f"points, counted as B_max / min(step, {RAMP_STEP_G:g} G)")
         axis = axis.copy()
         axis.flags.writeable = False
         object.__setattr__(self, "axis", axis)

@@ -197,6 +197,21 @@ def loci_to_csv(loci: dict[str, np.ndarray]) -> str:
     )
 
 
+def _read_pairs(path: Path, columns: str, row_kind: str) -> tuple[list[str], np.ndarray]:
+    """Header and (n, 2) float table of a two-column CSV; the messages name
+    the ``columns`` expected and the ``row_kind`` of a malformed row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2 or len(rows[0]) < 2:
+        raise ValueError(f"{path}: expected a header plus {columns} rows")
+    try:
+        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed {row_kind} row: {exc}") from None
+    # blank rows parse to an empty (0, 2) table, which callers reject as short
+    return rows[0], data.reshape(-1, 2)
+
+
 def read_scan_csv(path: str | Path, kind: str | None = None) -> Spectrum:
     """Scan CSV with a header and (abscissa, counts) columns.
 
@@ -208,44 +223,28 @@ def read_scan_csv(path: str | Path, kind: str | None = None) -> Spectrum:
     metadata: dict = {}
     sidecar = path.with_name(path.name + ".meta.json")
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}: not valid JSON: {exc}") from None
         if not isinstance(metadata, dict):
             raise ValueError(f"{sidecar}: scan metadata must be a JSON object")
         if kind is None:
             kind = metadata.get("abscissa_kind")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 2:
-        raise ValueError(f"{path}: expected a header plus (abscissa, counts) rows")
-    header = [h.strip().lower() for h in rows[0]]
+    header, data = _read_pairs(path, "(abscissa, counts)", "scan")
     if kind is None:
-        if "voltage" in header[0]:
+        name = header[0].strip().lower()
+        if "voltage" in name:
             kind = "voltage"
-        elif "field" in header[0] or header[0].startswith("b"):
+        elif "field" in name or name.startswith("b"):
             kind = "field"
         else:
             raise ValueError(
-                f"{path}: cannot infer abscissa kind from header {rows[0]!r}; "
+                f"{path}: cannot infer abscissa kind from header {header!r}; "
                 "pass it explicitly"
             )
-    try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed scan row: {exc}") from None
-    # a file of blank rows parses to no rows at all; Spectrum rejects it as short
-    data = data.reshape(-1, 2)
     return Spectrum(data[:, 0], data[:, 1], AbscissaKind(kind), metadata)
 
 
 def read_fiducials_csv(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header plus (voltage, frequency_MHz) rows")
-    try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed fiducial row: {exc}") from None
-    # as in read_scan_csv: blank rows parse to an empty (0, 2) table
-    return data.reshape(-1, 2)
+    return _read_pairs(Path(path), "(voltage, frequency_MHz)", "fiducial")[1]

@@ -21,8 +21,7 @@ def eigh_stack(h, compute_vectors=True):
     return np.linalg.eigvalsh(h), None
 
 
-def eigh(h, compute_vectors=True):
+def eigh(h):
     """Eigendecompose a single Hermitian matrix (d, d)."""
-    h = np.asarray(h)
-    vals, vecs = eigh_stack(h[None, :, :], compute_vectors)
-    return (vals[0], vecs[0]) if compute_vectors else (vals[0], None)
+    vals, vecs = eigh_stack(np.asarray(h)[None, :, :])
+    return vals[0], vecs[0]

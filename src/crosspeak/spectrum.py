@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .roots import bisect, first_crossing
-from .spin import Orientation, SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
+from .spin import SpinSpecies, _unit, hamiltonian_parts, probe_frequencies
 
 # robust sigma from the median absolute deviation of a normal sample
 MAD_SIGMA = 1.4826
@@ -122,17 +122,21 @@ class CalibrationMap:
         return Spectrum(fields, spectrum.counts, AbscissaKind.FIELD, meta)
 
 
-def _probe_fields(nv: SpinSpecies, h1, frequencies, b_max: float, tol: float) -> np.ndarray:
-    """Field amplitudes at which an NV probe branch equals each frequency,
-    NaN where neither branch reaches it below b_max.
+def field_for_frequency(nv: SpinSpecies, axis, frequency):
+    """Field amplitude at which an NV probe branch of the first
+    orientation class equals ``frequency``: a float for one frequency,
+    an array of the input's shape for an array of them.
 
-    One stacked scan over 0..b_max in FIELD_SCAN_STEP steps brackets every
-    frequency at once; one stacked bisection then refines all brackets.
+    The branch is picked by the sign of frequency - f(0): below the
+    zero-field line the lower branch, above it the upper.  One stacked
+    scan over 0..CALIBRATION_B_MAX in FIELD_SCAN_STEP steps brackets every
+    frequency at once, and one stacked bisection on the exact Hamiltonian
+    refines all brackets to CALIBRATION_TOL.  Raises NoSolutionError for
+    the first frequency that neither branch reaches.
     """
-    if not np.isfinite(b_max):
-        raise ValueError("b_max must be finite")
-    freqs = np.asarray(frequencies, dtype=float)
-    grid = FIELD_SCAN_STEP * np.arange(max(int(b_max // FIELD_SCAN_STEP), 0) + 1)
+    freqs = np.ravel(np.asarray(frequency, dtype=float))
+    h1 = hamiltonian_parts(nv, _unit(axis), nv.orientations()[0])[1]
+    grid = FIELD_SCAN_STEP * np.arange(int(CALIBRATION_B_MAX // FIELD_SCAN_STEP) + 1)
     lower, upper = probe_frequencies(nv.D, nv.E, grid, h1[None])
     # below the zero-field line the lower branch, above it the upper
     use_upper = freqs > upper[0]
@@ -145,43 +149,15 @@ def _probe_fields(nv: SpinSpecies, h1, frequencies, b_max: float, tol: float) ->
         lower, upper = probe_frequencies(nv.D, nv.E, b, h1[None])
         return np.where(use_upper[rows], upper, lower) - freqs[rows]
 
-    fields = bisect(gap, grid[j], grid[k], g[every, j], g[every, k], tol)
+    fields = bisect(gap, grid[j], grid[k], g[every, j], g[every, k], CALIBRATION_TOL)
     at_zero = (np.abs(freqs - lower[0]) < 1e-9) | (np.abs(freqs - upper[0]) < 1e-9)
     fields[at_zero] = 0.0
-    return fields
-
-
-def _not_reached(frequency, b_max) -> NoSolutionError:
-    return NoSolutionError(
-        f"{frequency} MHz is not reached by either NV probe branch below {b_max} G"
-    )
-
-
-def field_for_frequency(
-    nv: SpinSpecies,
-    axis,
-    frequency: float,
-    orientation: Orientation | None = None,
-    b_max: float = 1000.0,
-    tol: float = 1e-6,
-) -> float:
-    """Field amplitude at which an NV probe branch equals ``frequency``.
-
-    The branch is picked by the sign of frequency - f(0): below the
-    zero-field line the lower branch, above it the upper.  A scan in
-    2 G steps brackets the field, bisection on the exact Hamiltonian
-    refines it to ``tol``; raises NoSolutionError when the frequency is
-    off both branches over [0, b_max].  A one-frequency ``calibrate``
-    solve.
-    """
-    if orientation is None:
-        orientation = nv.orientations()[0]
-    axis = _unit(axis)
-    h1 = hamiltonian_parts(nv, axis, orientation)[1]
-    b = _probe_fields(nv, h1, [frequency], b_max, tol)[0]
-    if np.isnan(b):
-        raise _not_reached(frequency, b_max)
-    return float(b)
+    missed = np.flatnonzero(np.isnan(fields))
+    if missed.size:
+        raise NoSolutionError(f"{freqs[missed[0]]} MHz is not reached by either NV "
+                              f"probe branch below {CALIBRATION_B_MAX} G")
+    fields = fields.reshape(np.shape(frequency))
+    return float(fields) if fields.ndim == 0 else fields
 
 
 def calibrate(
@@ -189,14 +165,12 @@ def calibrate(
 ) -> CalibrationMap:
     """Build the voltage-to-field map from microwave fiducials.
 
-    Each (voltage, frequency MHz) fiducial is inverted through the NV
-    Hamiltonian of the first orientation class, as ``field_for_frequency``
-    does, but all fiducials together: one stacked 0-1000 G scan in 2 G
-    steps brackets every frequency and one stacked bisection refines
-    them.  The resulting anchors must be monotone.  Classes are assumed
-    degenerate along the sweep axis (true for [100]); a spread above
-    0.1 MHz across classes at an anchor, checked in one more stacked
-    solve, sets the "class-ambiguous" flag instead of failing.
+    All (voltage, frequency MHz) fiducials are inverted together by one
+    ``field_for_frequency`` call, through the NV Hamiltonian of the first
+    orientation class.  The resulting anchors must be monotone.  Classes
+    are assumed degenerate along the sweep axis (true for [100]); a
+    spread above 0.1 MHz across classes at an anchor, checked in one more
+    stacked solve, sets the "class-ambiguous" flag instead of failing.
     """
     if spectrum.kind is not AbscissaKind.VOLTAGE:
         raise ValueError("fiducial calibration starts from a voltage scan")
@@ -205,13 +179,10 @@ def calibrate(
         raise ValueError("need at least 2 (voltage, frequency) fiducials")
     if not np.all(np.isfinite(fid)):
         raise ValueError("fiducial voltages and frequencies must be finite")
+    volts, freqs = fid[:, 0], fid[:, 1]
+    fields = field_for_frequency(nv, axis, freqs)
     axis = _unit(axis)
     h1 = np.array([hamiltonian_parts(nv, axis, o)[1] for o in nv.orientations()])
-    volts, freqs = fid[:, 0], fid[:, 1]
-    fields = _probe_fields(nv, h1[0], freqs, CALIBRATION_B_MAX, CALIBRATION_TOL)
-    for freq, b in zip(freqs, fields):
-        if np.isnan(b):
-            raise _not_reached(freq, CALIBRATION_B_MAX)
     # every anchor field under every orientation class, in one stack
     n_cls = len(h1)
     lower, upper = probe_frequencies(

@@ -26,11 +26,12 @@ from . import kernels
 # Electron gyromagnetic ratio, MHz/G (free-electron value used throughout).
 GAMMA_E = 2.8025
 
-HERMITICITY_TOL = 1e-9
 # Matched-overlap threshold below which adiabatic tracking is flagged.
 TRACKING_OVERLAP_MIN = 0.5
 # Eigenvalues closer than this (MHz) count as degenerate when anchoring.
 DEGENERACY_TOL = 1e-6
+# Largest step (G) of the zero-field ramp that carries labels up to a grid
+RAMP_STEP_G = 0.5
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -238,19 +239,6 @@ def hamiltonian_parts(
     return h0, h1
 
 
-def eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal column eigenvectors.
-
-    Rejects non-Hermitian input (entrywise tolerance 1e-9 MHz).
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    return kernels.eigh(h)
-
-
 def _sz_operator(species: SpinSpecies) -> np.ndarray:
     sz = _SPIN_OPS[species.S][2]
     if species.nuclear is not None:
@@ -258,7 +246,7 @@ def _sz_operator(species: SpinSpecies) -> np.ndarray:
     return sz
 
 
-def _split_degenerate(vals, vecs, op, tol=DEGENERACY_TOL):
+def _split_degenerate(vals, vecs, op):
     """Rotate eigenvectors inside each degenerate cluster to diagonalise
     ``op`` there (deterministic basis in place of LAPACK's arbitrary one)."""
     vecs = vecs.copy()
@@ -266,12 +254,12 @@ def _split_degenerate(vals, vecs, op, tol=DEGENERACY_TOL):
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and vals[stop] - vals[stop - 1] <= tol:
+        while stop < n and vals[stop] - vals[stop - 1] <= DEGENERACY_TOL:
             stop += 1
         if stop - start > 1:
             block = vecs[:, start:stop]
             sub = block.conj().T @ op @ block
-            _, u = np.linalg.eigh(sub)
+            _, u = kernels.eigh(sub)
             vecs[:, start:stop] = block @ u
         start = stop
     return vecs
@@ -295,7 +283,7 @@ def anchor_labels(species: SpinSpecies) -> tuple[tuple[str, ...], np.ndarray, np
     zero-field eigenstates are electron-nuclear entangled).
     """
     h0, _ = hamiltonian_parts(species, np.array([0.0, 0.0, 1.0]), Orientation.lab())
-    vals, vecs = eigensystem(h0)
+    vals, vecs = kernels.eigh(h0)
     sz = _sz_operator(species)
     vecs = _split_degenerate(vals, vecs, sz)
     sz_exp = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sz, vecs))
@@ -422,13 +410,12 @@ def track_levels(
     orientation: Orientation,
     axis,
     b_grid,
-    ramp_step: float = 0.5,
 ) -> LevelTrack:
     """Track labelled levels over ``b_grid`` (gauss, ascending) along
     ``axis``.
 
     Labels are anchored at B=0; if the grid starts above zero an internal
-    ramp (step <= ramp_step) carries the labels up to it.  A matched
+    ramp (step <= RAMP_STEP_G) carries the labels up to it.  A matched
     overlap below 0.5 raises a TrackingWarning, never a relabelling.
     """
     axis = _unit(axis)
@@ -439,7 +426,7 @@ def track_levels(
 
     n_ramp = 0
     if b_grid[0] > 0:
-        step = min(ramp_step, np.min(np.diff(b_grid)) if len(b_grid) > 1 else ramp_step)
+        step = min(RAMP_STEP_G, np.min(np.diff(b_grid)) if len(b_grid) > 1 else RAMP_STEP_G)
         ramp = np.arange(0.0, b_grid[0], step)
         n_ramp = len(ramp)
         full = np.concatenate([ramp, b_grid])
@@ -554,10 +541,17 @@ def probe_frequencies(d, e, b, h1) -> tuple[np.ndarray, np.ndarray]:
 
 def nv_probe_frequencies(
     species: SpinSpecies, amplitude: float, axis, orientation: Orientation
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) probe frequencies of a bare S=1 species at one field
-    ``amplitude`` (gauss) along the unit lab ``axis``: a one-row
-    ``probe_frequencies``, valid where it is."""
+    ``amplitude`` (gauss) along each unit lab axis: ``probe_frequencies``
+    on the Zeeman parts of ``hamiltonian_parts``, valid where it is.
+
+    ``axis`` is one axis (3,), giving 0-d arrays, or a stack (n, 3),
+    giving (n,) arrays whose row k equals the single-axis result of axis
+    k bit for bit.
+    """
     h1 = hamiltonian_parts(species, axis, orientation)[1]
-    lower, upper = probe_frequencies(species.D, species.E, amplitude, h1[None])
-    return float(lower[0]), float(upper[0])
+    # any Zeeman size reaches probe_frequencies, which rejects all but 3x3
+    stack = h1.reshape((-1,) + h1.shape[-2:])
+    lower, upper = probe_frequencies(species.D, species.E, amplitude, stack)
+    return lower.reshape(h1.shape[:-2]), upper.reshape(h1.shape[:-2])

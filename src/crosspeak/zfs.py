@@ -79,8 +79,6 @@ def infer_zfs(
     axis=(1.0, 0.0, 0.0),
     fit_sigma: float | None = None,
     nv_d_sigma: float = DEFAULT_NV_D_SIGMA,
-    gamma_e: float | None = None,
-    d_range: tuple[float, float] = D_SEARCH_RANGE,
 ) -> ZfsEstimate:
     """Invert a dip center into the target defect's D.
 
@@ -91,13 +89,13 @@ def infer_zfs(
     pair, NV reference D) is propagated by re-solving the inversion at
     the perturbed input; the four resulting shifts combine in quadrature.
 
-    Every inversion is a bisection for D over ``d_range`` to within
-    D_BISECT_TOL, and all of them run together as one stacked
-    bracket-and-bisect: about 22 stacked eigensolves of at most 135
-    matrices for the full budget.  The center and every fit, calibration
-    and NV-reference perturbation must have a crossing in ``d_range``
-    (NoSolutionError otherwise); tilted class pairs without one are
-    skipped.  The center and the four uncertainties must be finite and
+    The target shares the NV's gamma_e.  Every inversion is a bisection
+    for D over D_SEARCH_RANGE to within D_BISECT_TOL, and all of them run
+    together as one stacked bracket-and-bisect: about 22 stacked
+    eigensolves of at most 135 matrices for the full budget.  The center
+    and every fit, calibration and NV-reference perturbation must have a
+    crossing in D_SEARCH_RANGE (NoSolutionError otherwise); tilted class
+    pairs without one are skipped.  The center and the four uncertainties must be finite and
     >= 0, and the axis tilt at most MAX_TILT_DEG (ValueError otherwise).
     """
     if isinstance(peak, PeakFit):
@@ -122,9 +120,8 @@ def infer_zfs(
     except KeyError as exc:
         raise ValueError(f"unknown probe branch label {exc.args[0]!r}") from None
     axis = _unit(axis)
-    if gamma_e is None:
-        gamma_e = nv.gamma_e
-    target = SpinSpecies(name="target", S=1.0, D=d_range[0], gamma_e=gamma_e)
+    lo, hi = D_SEARCH_RANGE
+    target = SpinSpecies(name="target", S=1.0, D=lo, gamma_e=nv.gamma_e)
 
     # one job per inversion: (budget term, field, NV reference D, axis,
     # NV orientation, target orientation); axis 0 is the nominal one
@@ -158,7 +155,6 @@ def infer_zfs(
         f_tgt = probe_frequencies(d, target.E, b[rows], tgt_h1[rows])[tgt_branch]
         return f_tgt - f_nv[rows]
 
-    lo, hi = d_range
     n = len(jobs)
     g_ends = gap(np.repeat([lo, hi], n), np.tile(np.arange(n), 2))
     roots = bisect(gap, np.full(n, lo), np.full(n, hi), g_ends[:n], g_ends[n:],

@@ -402,6 +402,20 @@ def test_invert_malformed_report_is_usage_error(tmp_path, capsys, text):
     assert not (tmp_path / "zfs.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, name, text",
+    [("fit", "scan.csv.meta.json", "{"), ("invert", "report.json", '{"peaks": [')],
+)
+def test_invalid_json_input_names_the_file(tmp_path, scan_file, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    outdir = tmp_path / "out"
+    argv = ["fit", scan_file] if command == "fit" else ["invert", "--report", path]
+    assert run([*argv, "--outdir", outdir]) == 2
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_invert_angle_sigma_beyond_a_right_angle_is_usage_error(tmp_path, capsys):
     argv = ["invert", "--center", "54.2522", "--angle-sigma", "400", "--outdir", tmp_path]
     assert run(argv) == 2

@@ -15,11 +15,13 @@ ran its own bisection through a frequency closure per curve.
 The inputs are regenerated here from fixed seeds and literal fiducials.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crosspeak import kernels
 from crosspeak.cli import main
 
 from synth import make_scan
@@ -156,3 +158,27 @@ def test_golden_bytes(case, tmp_path):
     outputs = CASES[case](tmp_path)
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), name
+
+
+def test_every_eigensolve_goes_through_kernels(tmp_path, monkeypatch):
+    # numpy's Hermitian eigensolvers answer kernels.eigh_stack and fail
+    # for any other caller; each command must still solve through them
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def guarded(*args, _solver=getattr(np.linalg, name), **kwargs):
+            if sys._getframe(1).f_code is not kernels.eigh_stack.__code__:
+                raise AssertionError("eigensolve outside kernels.eigh_stack")
+            solves.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+    scan, fid = write_voltage_scan(tmp_path)
+    for argv in (
+        ["crossings", "--a", "NV", "--b", "VH-", "--range", "40:70:0.5"],
+        ["invert", "--center", "54.2522"],
+        ["map", "--steps", "5"],
+        ["fit", scan, "--fiducials", fid],
+    ):
+        solves.clear()
+        run([*argv, "--outdir", tmp_path / argv[0]])
+        assert solves, argv[0]

@@ -5,7 +5,6 @@ row is unchanged."""
 import numpy as np
 import pytest
 
-from crosspeak import kernels
 from crosspeak.roots import bisect, first_crossing
 from crosspeak.spin import (
     Orientation,
@@ -78,16 +77,22 @@ def test_probe_frequencies_equal_single_matrix_solves(catalog, rng):
     species = [catalog[name] for name in ("NV", "VH-", "WAR1")]
     species.append(SpinSpecies(name="rhombic", S=1.0, D=2500.0, E=37.5, gamma_e=2.79))
     for sp in species:
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
+        axes = rng.normal(size=(5, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        axis = axes[0]
         for ori in [*Orientation.all_classes(), Orientation.lab()]:
             fields = np.concatenate([[0.0], rng.uniform(0.0, 300.0, 9)])
             h0, h1 = hamiltonian_parts(sp, axis, ori)
             lower, upper = probe_frequencies(sp.D, sp.E, fields, h1[None])
             for b, lo, hi in zip(fields, lower, upper):
-                vals, _ = kernels.eigh(h0 + b * h1, compute_vectors=False)
+                vals = np.linalg.eigvalsh(h0 + b * h1)
                 assert (lo, hi) == (vals[1] - vals[0], vals[2] - vals[0])
                 assert (lo, hi) == nv_probe_frequencies(sp, b, axis, ori)
+                # a stack of axes answers row for row as the single axes do
+                stacked = nv_probe_frequencies(sp, b, axes, ori)
+                assert all(s.shape == (len(axes),) for s in stacked)
+                singles = [nv_probe_frequencies(sp, b, a, ori) for a in axes]
+                assert np.array_equal(np.transpose(stacked), singles)
 
 
 def test_hamiltonian_parts_stack_equals_single_axis_builds(catalog, rng):

@@ -101,9 +101,9 @@ def test_field_for_frequency_zero_and_axial(nv):
     assert field_for_frequency(nv, AX_100, 2870.0) == 0.0
     ori = nv.orientations()[0]
     axis = ori.rotation[:, 2]
-    b = field_for_frequency(nv, axis, 3150.25, orientation=ori)
+    b = field_for_frequency(nv, axis, 3150.25)
     assert abs(b - 100.0) < 1e-5
-    b = field_for_frequency(nv, axis, 2729.875, orientation=ori)
+    b = field_for_frequency(nv, axis, 2729.875)
     assert abs(b - 50.0) < 1e-5
 
 
@@ -134,8 +134,20 @@ def test_field_for_frequency_vs_longhand_matrix(nv):
 
 
 def test_field_for_frequency_no_solution(nv):
-    with pytest.raises(NoSolutionError):
-        field_for_frequency(nv, AX_100, 9999.0, b_max=500.0)
+    # 9999 MHz lies above both branches everywhere below 1000 G
+    with pytest.raises(NoSolutionError, match="9999.0 MHz"):
+        field_for_frequency(nv, AX_100, 9999.0)
+    with pytest.raises(NoSolutionError, match="9999.0 MHz"):
+        field_for_frequency(nv, AX_100, [2900.0, 9999.0, 3000.0])
+
+
+def test_field_for_frequency_array_equals_scalar_calls(nv):
+    freqs = np.array([[2600.0, 2870.0, 2900.0], [3150.25, 2729.875, 3500.0]])
+    fields = field_for_frequency(nv, AX_111, freqs)
+    assert fields.shape == freqs.shape
+    expected = [[field_for_frequency(nv, AX_111, f) for f in row] for row in freqs.tolist()]
+    assert np.array_equal(fields, expected)
+    assert isinstance(field_for_frequency(nv, AX_111, 2900.0), float)
 
 
 def test_calibrate_100_clean(nv):

@@ -159,8 +159,8 @@ def test_spectrum_time_reversal(name, index, axis, amplitude):
     # time reversal maps H(B) onto H(-B): the spectra agree level by level
     species = CATALOG[name]
     h0, h1 = hamiltonian_parts(species, axis, _orientation(species, index))
-    forward, _ = kernels.eigh(h0 + amplitude * h1, compute_vectors=False)
-    backward, _ = kernels.eigh(h0 - amplitude * h1, compute_vectors=False)
+    forward, _ = kernels.eigh(h0 + amplitude * h1)
+    backward, _ = kernels.eigh(h0 - amplitude * h1)
     scale = max(1.0, np.max(np.abs(forward)))
     assert np.allclose(forward, backward, rtol=0.0, atol=1e-9 * scale)
 

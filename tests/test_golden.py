@@ -12,6 +12,8 @@ iteration and refinement solved one matrix per probe.
 The ``crossings_nv_war1_generic``, ``crossings_nv13c_vh_111`` and
 ``crossings_p1_three_body_ramp`` files were written while each curve pair
 ran its own bisection through a frequency closure per curve.
+The ``predict_nv_nv13c_p1_vh_*`` files were written while ``sweep_curves``
+tracked every orientation class and merged coincident curves afterwards.
 The inputs are regenerated here from fixed seeds and literal fiducials.
 """
 
@@ -146,6 +148,16 @@ CASES = {
     "predict_nv13c_p1_111": lambda tmp: predict(
         tmp, "predict_nv13c_p1_111",
         ["--species", "NV-13C,P1", "--axis", "111", "--range", "0:145:1"],
+    ),
+    # multiplicities of coincident orientation classes: |x4 along <100>,
+    # |x2 along <110>
+    "predict_nv_nv13c_p1_vh_100": lambda tmp: predict(
+        tmp, "predict_nv_nv13c_p1_vh_100",
+        ["--species", "NV,NV-13C,P1,VH-", "--axis", "100", "--range", "0:150:0.5"],
+    ),
+    "predict_nv_nv13c_p1_vh_110": lambda tmp: predict(
+        tmp, "predict_nv_nv13c_p1_vh_110",
+        ["--species", "NV,NV-13C,P1,VH-", "--axis", "110", "--range", "0:150:0.5"],
     ),
     "map_115": lambda tmp: map_case(tmp, "map_115", "115"),
     # off the 115 G default, with a fractional amplitude in the metadata

@@ -48,9 +48,14 @@ def _parse_axis(text: str) -> np.ndarray:
             v = np.asarray([float(p) for p in text.split(",")], dtype=float)
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse axis {text!r}") from None
-        if v.shape != (3,) or not np.any(v):
-            raise argparse.ArgumentTypeError("axis needs 3 components, not all zero")
-    return v / np.linalg.norm(v)
+        if v.shape != (3,) or not np.all(np.isfinite(v)):
+            raise argparse.ArgumentTypeError(f"axis {text!r} needs 3 finite components")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    # zero, or a length that under- or overflows (1e-320,0,0; 1e200,1e200,0)
+    if not 0 < norm < np.inf:
+        raise argparse.ArgumentTypeError(f"axis {text!r} has no finite nonzero length")
+    return v / norm
 
 
 def _parse_range(text: str):

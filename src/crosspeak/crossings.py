@@ -126,33 +126,49 @@ class TransitionCurve:
 def sweep_curves(
     species: SpinSpecies,
     spec: SweepSpec,
-    orientations=None,
     rule: ManifoldRule | None = None,
 ) -> list[TransitionCurve]:
     """Transition curves of one species over a sweep, deduplicated.
 
     One curve per (orientation class, labelled transition); curves that
     coincide within 1e-6 MHz everywhere (degenerate classes) are merged
-    with their multiplicity recorded.
+    with their multiplicity recorded.  A class whose defect-frame field
+    axis equals + or - that of a class tracked before it, bit for bit, is
+    not tracked: it has that class's H0 and +-H1, and H0 is even under
+    time reversal, so its curves are the earlier class's (with ms = +-1
+    swapped for -H1).  Each merged curve that the earlier class's curves
+    joined counts it once more.  Along <100> one class is tracked, along
+    any other axis in a {100} plane (such as <110>) two, and along <111>
+    and generic axes all four.
     """
-    if orientations is None:
-        orientations = species.orientations()
     if rule is None:
         rule = default_rule(species)
     grid = spec.grid
-    curves: list[TransitionCurve] = []
-    for orientation in orientations:
-        track = track_levels(species, orientation, spec.axis, grid)
-        for a, b in transition_pairs(species, track.labels, rule):
-            curves.append(TransitionCurve(track, a, b, (track.index_of(a), track.index_of(b))))
     merged: list[TransitionCurve] = []
-    for c in curves:
-        for m in merged:
-            if np.max(np.abs(c.f - m.f)) < CURVE_DEDUP_TOL:
-                m.multiplicity += 1
+    # defect-frame axis of each tracked class, and the merged curve each
+    # of its curves joined
+    tracked: list[tuple[np.ndarray, list[TransitionCurve]]] = []
+    for orientation in species.orientations():
+        frame_axis = spec.axis @ orientation.rotation
+        for axis_j, joined in tracked:
+            if np.array_equal(frame_axis, axis_j) or np.array_equal(frame_axis, -axis_j):
+                for m in joined:
+                    m.multiplicity += 1
                 break
         else:
-            merged.append(c)
+            track = track_levels(species, orientation, spec.axis, grid)
+            joined = []
+            for a, b in transition_pairs(species, track.labels, rule):
+                c = TransitionCurve(track, a, b, (track.index_of(a), track.index_of(b)))
+                for m in merged:
+                    if np.max(np.abs(c.f - m.f)) < CURVE_DEDUP_TOL:
+                        m.multiplicity += 1
+                        break
+                else:
+                    merged.append(c)
+                    m = c
+                joined.append(m)
+            tracked.append((frame_axis, joined))
     return merged
 
 
@@ -275,8 +291,9 @@ def p1_three_body_fields(
     """Fields where some P1 transition equals the NV branch difference
     f(0->+1) - f(0->-1).
 
-    Restricted to a [100] sweep axis, where all four orientation classes
-    of both species are equivalent and one class suffices.  B = 0 always
+    Restricted to a <100> sweep axis, where all four orientation classes
+    of both species are equivalent: the NV side reads class 1, and
+    ``sweep_curves`` tracks one P1 class by its orbit rule.  B = 0 always
     satisfies the condition (both sides vanish there) and is reported
     when the sweep includes it.
     """
@@ -284,7 +301,5 @@ def p1_three_body_fields(
     if np.max(np.abs(np.sort(axis) - np.array([0.0, 0.0, 1.0]))) > 1e-9:
         raise ValueError("three-body condition is defined for a <100> axis")
     diff_curve = _nv_branch_difference_curve(nv, spec)
-    p1_curves = sweep_curves(
-        p1, spec, orientations=[p1.orientations()[0]], rule=ManifoldRule.ALL_PAIRS
-    )
+    p1_curves = sweep_curves(p1, spec, rule=ManifoldRule.ALL_PAIRS)
     return find_crossings(p1_curves, [diff_curve])

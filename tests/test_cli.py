@@ -7,6 +7,7 @@ observable without spawning interpreters.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,30 @@ def test_bad_axis_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["predict", "--species", "NV", "--outdir", tmp_path, "--axis", "1,2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["predict", "invert"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nan,0,0", "needs 3 finite components"),
+        ("inf,0,0", "needs 3 finite components"),
+        ("0,0,0", "has no finite nonzero length"),
+        ("1e-320,0,0", "has no finite nonzero length"),
+        ("1e200,1e200,0", "has no finite nonzero length"),
+    ],
+)
+def test_axis_without_direction_is_usage_error(tmp_path, capsys, command, text, message):
+    args = ["--species", "NV"] if command == "predict" else ["--center", "54.2522"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--outdir", tmp_path, f"--axis={text}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"axis {text!r} {message}" in err
+    assert "RuntimeWarning" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_catalog_file(tmp_path, capsys):

@@ -7,32 +7,50 @@ maximum-overlap argmax per step, scipy's assignment where the argmax
 repeats a column, and the label permutation composed step by step.  The
 stacked tracker must reproduce its energies and labels bit for bit.
 
+``reference_sweep_curves`` is the curve set ``sweep_curves`` built before
+it tracked one orientation class per symmetry orbit: every class tracked,
+then coincident curves merged.  The orbit rule must reproduce its curves,
+labels and multiplicities, and its frequencies bit for bit.
+
 ``reference_crossings`` is the per-pair refinement that ``find_crossings``
 used before it refined the brackets of every curve pair in one stacked
 bisection: one bisection, one match check and one pair of slope solves
 per curve pair.  The stacked search must reproduce its events bit for bit.
 """
 
+import itertools
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from crosspeak import kernels, spin
+from crosspeak import crossings, kernels, spin
 from crosspeak.catalog import load_catalog
 from crosspeak.crossings import (
     BISECT_TOL_G,
+    CURVE_DEDUP_TOL,
     EVENT_MERGE_G,
     FREQ_MATCH_TOL,
     GRID_ZERO_TOL,
     CrossingEvent,
     SweepSpec,
+    TransitionCurve,
     _nv_branch_difference_curve,
     find_crossings,
     sweep_curves,
 )
 from crosspeak.roots import bisect
-from crosspeak.spin import ManifoldRule
-from crosspeak.spin import _match_order, anchor_labels, hamiltonian_parts, track_levels
+from crosspeak.spin import ManifoldRule, SpinSpecies
+from crosspeak.spin import (
+    _match_order,
+    anchor_labels,
+    default_rule,
+    hamiltonian_parts,
+    track_levels,
+    transition_pairs,
+)
 
 CATALOG = load_catalog()
 
@@ -165,6 +183,86 @@ def test_spectrum_time_reversal(name, index, axis, amplitude):
     assert np.allclose(forward, backward, rtol=0.0, atol=1e-9 * scale)
 
 
+def reference_sweep_curves(species, spec, rule=None):
+    """Curves of every orientation class, each class tracked, then merged
+    where they agree within CURVE_DEDUP_TOL everywhere."""
+    rule = default_rule(species) if rule is None else rule
+    curves = []
+    for orientation in species.orientations():
+        track = track_levels(species, orientation, spec.axis, spec.grid)
+        for a, b in transition_pairs(species, track.labels, rule):
+            curves.append(TransitionCurve(track, a, b, (track.index_of(a), track.index_of(b))))
+    merged = []
+    for c in curves:
+        for m in merged:
+            if np.max(np.abs(c.f - m.f)) < CURVE_DEDUP_TOL:
+                m.multiplicity += 1
+                break
+        else:
+            merged.append(c)
+    return merged
+
+
+def _unit_axis(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+# <100>, <110> and <111> axes, two more in the (001) plane and a generic one
+ORBIT_AXES = {
+    "100": (1, 0, 0), "-100": (-1, 0, 0), "010": (0, 1, 0), "001": (0, 0, 1),
+    "110": (1, 1, 0), "1-10": (1, -1, 0), "011": (0, 1, 1), "101": (1, 0, 1),
+    "111": (1, 1, 1), "1-11": (1, -1, 1), "210": (2, 1, 0), "120": (1, 2, 0),
+    "generic": (0.3, 0.5, 0.8), "1,0.2,0": (1, 0.2, 0),
+}
+# a frame-aligned species with a rhombic zero-field term: one class only
+LAB_TOY = SpinSpecies(name="lab-toy", S=1.0, D=1000.0, E=50.0, orientation_kind="lab")
+ORBIT_SPECIES = {
+    "NV": (CATALOG["NV"], None),
+    "VH-": (CATALOG["VH-"], None),
+    "NV-13C": (CATALOG["NV-13C"], None),
+    "P1": (CATALOG["P1"], ManifoldRule.ALL_PAIRS),
+    "lab-toy": (LAB_TOY, ManifoldRule.ALL_PAIRS),
+}
+
+
+@pytest.mark.parametrize("species_name", sorted(ORBIT_SPECIES))
+@pytest.mark.parametrize("axis_name", sorted(ORBIT_AXES))
+def test_sweep_curves_equal_every_class_reference(axis_name, species_name):
+    species, rule = ORBIT_SPECIES[species_name]
+    spec = SweepSpec(_unit_axis(ORBIT_AXES[axis_name]), 0.0, 150.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spin.TrackingWarning)
+        curves = sweep_curves(species, spec, rule=rule)
+        expected = reference_sweep_curves(species, spec, rule)
+    assert len(curves) == len(expected)
+    for c, r in zip(curves, expected):
+        assert (c.orientation, c.label, c.pair, c.minus, c.multiplicity) == (
+            r.orientation, r.label, r.pair, r.minus, r.multiplicity)
+        assert c.f.tobytes() == r.f.tobytes()
+
+
+@pytest.mark.parametrize("axis_name, tracks", [
+    ("100", 1), ("-100", 1), ("010", 1), ("001", 1),
+    # any other axis in a {100} plane pairs the classes up
+    ("110", 2), ("1-10", 2), ("011", 2), ("101", 2), ("210", 2), ("1,0.2,0", 2),
+    ("111", 4), ("1-11", 4), ("generic", 4),
+])
+def test_sweep_curves_track_one_class_per_orbit(axis_name, tracks, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return track_levels(*args, **kwargs)
+
+    monkeypatch.setattr(crossings, "track_levels", counted)
+    spec = SweepSpec(_unit_axis(ORBIT_AXES[axis_name]), 0.0, 20.0, 0.5)
+    for species, rule in ORBIT_SPECIES.values():
+        calls.clear()
+        sweep_curves(species, spec, rule=rule)
+        assert len(calls) == (1 if species is LAB_TOY else tracks), species.name
+
+
 def reference_slope(curve, amplitude, h=0.025):
     lo = np.maximum(curve.B[0], amplitude - h)
     hi = np.minimum(curve.B[-1], amplitude + h)
@@ -241,7 +339,40 @@ def test_three_body_crossings_equal_per_pair_reference(sweep):
     # the branch-difference curve reads four levels of one NV track
     spec = SweepSpec(np.array([1.0, 0.0, 0.0]), *sweep)
     p1 = CATALOG["P1"]
-    p1_curves = sweep_curves(p1, spec, [p1.orientations()[0]], ManifoldRule.ALL_PAIRS)
+    p1_curves = sweep_curves(p1, spec, rule=ManifoldRule.ALL_PAIRS)
     diff = [_nv_branch_difference_curve(CATALOG["NV"], spec)]
     events = find_crossings(p1_curves, diff)
     assert events == reference_crossings(p1_curves, diff)
+
+
+# the 48 operations of the cubic point group: signed permutation matrices
+CUBIC_OPS = [
+    np.diag(signs)[:, list(perm)]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cubic_operations_keep_events_and_multiplicities(seed):
+    # every axial species is invariant under the cubic group together with
+    # time reversal, which only permutes its orientation classes (improper
+    # operations swap ms = +-1, so labels are not compared)
+    a = _unit_axis(np.random.default_rng(seed).normal(size=3))
+    names = ("NV", "VH-", "WAR1", "P1")
+
+    def observe(axis):
+        spec = SweepSpec(axis, 0.0, 150.0, 0.5)
+        curves = {name: sweep_curves(CATALOG[name], spec) for name in names}
+        events = find_crossings(curves["NV"], curves["VH-"])
+        points = sorted((e.B_star, e.f_star) for e in events)
+        return points, {n: sorted(c.multiplicity for c in cs) for n, cs in curves.items()}
+
+    points, multiplicities = observe(a)
+    assert points
+    for g in CUBIC_OPS:
+        g_points, g_multiplicities = observe(g @ a)
+        assert g_multiplicities == multiplicities
+        assert len(g_points) == len(points)
+        for (b, f), (gb, gf) in zip(points, g_points):
+            assert abs(gb - b) <= BISECT_TOL_G and abs(gf - f) <= FREQ_MATCH_TOL

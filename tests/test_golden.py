@@ -4,8 +4,10 @@ The files in ``tests/golden/`` were written by the package while it still
 solved the error budget, the calibration and the crossing refinement with
 scalar bisection loops (one Hamiltonian build and one eigensolve per
 probe).  The stacked bracket-and-bisect that replaced them must reproduce
-every byte.  The ``map_*`` files were written while ``map`` still built
-its own Zeeman stack instead of going through ``spin.probe_frequencies``.
+every byte.  The ``map_115`` and ``map_127_3`` files were written while
+``map`` still built its own Zeeman stack instead of going through
+``spin.probe_frequencies``, and the ``map_vh_even`` files while it still
+solved every grid cell and formatted its CSV cell by cell.
 The ``crossings_nv_vh_1*``, ``crossings_nv_nv13c`` and ``predict_*`` files
 were written while level tracking matched each grid step in its own loop
 iteration and refinement solved one matrix per probe.
@@ -95,8 +97,8 @@ def predict(tmp: Path, name: str, argv) -> dict[str, bytes]:
     }
 
 
-def map_case(tmp: Path, name: str, amplitude: str) -> dict[str, bytes]:
-    run(["map", "--steps", "51", "--amplitude", amplitude, "--outdir", tmp])
+def map_case(tmp: Path, name: str, argv) -> dict[str, bytes]:
+    run(["map", *argv, "--outdir", tmp])
     return {
         f"{name}.{fname}": (tmp / fname).read_bytes()
         for fname in ("map.csv", "map_meta.json", "loci.csv")
@@ -159,9 +161,17 @@ CASES = {
         tmp, "predict_nv_nv13c_p1_vh_110",
         ["--species", "NV,NV-13C,P1,VH-", "--axis", "110", "--range", "0:150:0.5"],
     ),
-    "map_115": lambda tmp: map_case(tmp, "map_115", "115"),
+    "map_115": lambda tmp: map_case(tmp, "map_115", ["--steps", "51", "--amplitude", "115"]),
     # off the 115 G default, with a fractional amplitude in the metadata
-    "map_127_3": lambda tmp: map_case(tmp, "map_127_3", "127.3"),
+    "map_127_3": lambda tmp: map_case(
+        tmp, "map_127_3", ["--steps", "51", "--amplitude", "127.3"]
+    ),
+    # an even grid (no cell on either mirror line), unequal ranges and a
+    # species other than NV
+    "map_vh_even": lambda tmp: map_case(
+        tmp, "map_vh_even",
+        ["--steps", "50", "--phi-max", "45", "--theta-max", "12.5", "--species", "VH-"],
+    ),
 }
 
 

@@ -43,6 +43,13 @@ def _goniometer_axes(ref: np.ndarray, phis, thetas) -> np.ndarray:
     return ax
 
 
+def _symmetric_steps(limit: float, n: int) -> np.ndarray:
+    """n evenly spaced angles over [-limit, limit] that are exactly odd:
+    a[n - 1 - k] == -a[k] bit for bit, so an odd count centres on 0.0."""
+    a = np.linspace(-limit, limit, n)
+    return (a - a[::-1]) / 2
+
+
 @dataclass(frozen=True, eq=False)
 class AngleGrid:
     """Symmetric (phi, theta) grid in degrees around the reference axis."""
@@ -61,11 +68,11 @@ class AngleGrid:
 
     @property
     def phis(self) -> np.ndarray:
-        return np.linspace(-self.phi_max, self.phi_max, self.n_phi)
+        return _symmetric_steps(self.phi_max, self.n_phi)
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.linspace(-self.theta_max, self.theta_max, self.n_theta)
+        return _symmetric_steps(self.theta_max, self.n_theta)
 
 
 @dataclass(eq=False)
@@ -94,13 +101,13 @@ class DegeneracyMap:
         return masks
 
 
-def _probe_freq_grid(nv: SpinSpecies, grid: AngleGrid, amplitude: float) -> np.ndarray:
-    """Probe frequencies f[i, j, class, branch] over the angle grid."""
-    flat_axes = _goniometer_axes(REFERENCE_AXIS, grid.phis, grid.thetas).reshape(-1, 3)
+def _probe_freq_grid(nv: SpinSpecies, phis, thetas, amplitude: float) -> np.ndarray:
+    """Probe frequencies f[i, j, class, branch] at (phis[i], thetas[j])."""
+    flat_axes = _goniometer_axes(REFERENCE_AXIS, phis, thetas).reshape(-1, 3)
     per_class = [nv_probe_frequencies(nv, amplitude, flat_axes, orientation)
                  for orientation in nv.orientations()]
     # (class, branch, point) -> (i, j, class, branch)
-    return np.moveaxis(np.array(per_class), 2, 0).reshape(grid.n_phi, grid.n_theta, -1, 2)
+    return np.moveaxis(np.array(per_class), 2, 0).reshape(len(phis), len(thetas), -1, 2)
 
 
 def plane_loci(grid: AngleGrid) -> dict[str, np.ndarray]:
@@ -130,6 +137,13 @@ def simulate_map(
     L(detuning; FWHM=linewidth), with c normalised so the deepest point
     sits at 1 - contrast.  Amplitude 0 degenerates every detuning and is
     flagged.
+
+    The spectra are even in phi and in theta.  A mirror of the field
+    through the xy or xz plane maps each <111> class's defect-frame field
+    onto minus another class's, and a ``lab`` species' field onto minus
+    its C2z or C2y image; time reversal then leaves the spectrum unchanged.
+    So the phi <= 0, theta <= 0 quadrant is solved and mirrored onto the
+    rest of the (exactly odd) grid.
     """
     # chained comparisons, so NaN fails each of them
     if not 0 <= amplitude < np.inf:
@@ -138,9 +152,10 @@ def simulate_map(
         raise ValueError("linewidth must be positive and finite")
     if not 0 <= contrast <= 1:
         raise ValueError("contrast must lie in [0, 1]")
-    f = _probe_freq_grid(nv, grid, amplitude)
+    n_phi, n_theta = (grid.n_phi + 1) // 2, (grid.n_theta + 1) // 2
+    f = _probe_freq_grid(nv, grid.phis[:n_phi], grid.thetas[:n_theta], amplitude)
     hwhm = linewidth / 2.0
-    raw = np.zeros((grid.n_phi, grid.n_theta))
+    raw = np.zeros((n_phi, n_theta))
     n_cls = f.shape[2]
     for a in range(n_cls):
         for b in range(a + 1, n_cls):
@@ -148,6 +163,8 @@ def simulate_map(
                 for br_b in range(2):
                     det = f[:, :, a, br_a] - f[:, :, b, br_b]
                     raw += 1.0 / (1.0 + (det / hwhm) ** 2)
+    raw = np.concatenate([raw, raw[:grid.n_phi - n_phi][::-1]], axis=0)
+    raw = np.concatenate([raw, raw[:, :grid.n_theta - n_theta][:, ::-1]], axis=1)
     peak = float(np.max(raw))
     flags = ()
     if amplitude == 0:

@@ -231,6 +231,7 @@ def cmd_map(args, catalog) -> int:
     _write(args.outdir, "map.csv", iomod.map_to_csv(deg_map), written)
     _write(args.outdir, "map_meta.json", iomod.map_meta_to_json(deg_map), written)
     _write(args.outdir, "loci.csv", iomod.loci_to_csv(plane_loci(grid)), written)
+    # mirror cells tie exactly; the first minimal cell in row-major order
     i, j = np.unravel_index(np.argmin(deg_map.pl_proxy), deg_map.pl_proxy.shape)
     print(
         f"minimum pl_proxy {deg_map.pl_proxy[i, j]:.6f} at "

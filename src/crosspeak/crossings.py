@@ -10,7 +10,7 @@ operating on exact Hamiltonians, never on interpolated samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .roots import bisect
@@ -293,13 +293,18 @@ def p1_three_body_fields(
 
     Restricted to a <100> sweep axis, where all four orientation classes
     of both species are equivalent: the NV side reads class 1, and
-    ``sweep_curves`` tracks one P1 class by its orbit rule.  B = 0 always
-    satisfies the condition (both sides vanish there) and is reported
-    when the sweep includes it.
+    ``sweep_curves`` tracks one P1 class by its orbit rule.  An axis
+    within 1e-9 of <100> is swept along that exact signed <100> axis, so
+    the orbit rule, which compares axes bit for bit, applies to it too.
+    B = 0 always satisfies the condition (both sides vanish there) and is
+    reported when the sweep includes it.
     """
-    axis = np.abs(np.asarray(spec.axis, dtype=float))
-    if np.max(np.abs(np.sort(axis) - np.array([0.0, 0.0, 1.0]))) > 1e-9:
+    k = int(np.argmax(np.abs(spec.axis)))
+    axis = np.zeros(3)
+    axis[k] = np.copysign(1.0, spec.axis[k])
+    if np.max(np.abs(spec.axis - axis)) > 1e-9:
         raise ValueError("three-body condition is defined for a <100> axis")
+    spec = replace(spec, axis=axis)
     diff_curve = _nv_branch_difference_curve(nv, spec)
     p1_curves = sweep_curves(p1, spec, rule=ManifoldRule.ALL_PAIRS)
     return find_crossings(p1_curves, [diff_curve])

@@ -70,12 +70,27 @@ def _csv(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
+def _cell(text: str) -> str:
+    """``text`` as one CSV cell of a multi-cell row, quoted as csv.writer
+    quotes it, with '%' doubled for use in a printf template."""
+    return _csv([text, ""], [])[:-2].replace("%", "%%")
+
+
+def _table(header: list[str], templates, arrays) -> str:
+    """Numeric CSV text: the header, then the printf line ``templates``
+    filled in one pass from the values of ``arrays``, each flattened, in
+    order.  A ``%.Nf`` prints as ``f"{x:.Nf}"`` does, NaN and infinities
+    included."""
+    values = np.concatenate([[], *map(np.ravel, arrays)])  # [] keeps it float when empty
+    return _csv(header, []) + "".join(templates) % tuple(values.tolist())
+
+
 def curves_to_csv(curves: list[TransitionCurve]) -> str:
-    labels = [f"{c.species}|{c.orientation}|{c.label}|x{c.multiplicity}" for c in curves]
-    return _csv(
+    labels = [_cell(f"{c.species}|{c.orientation}|{c.label}|x{c.multiplicity}") for c in curves]
+    return _table(
         ["B_G", "f_MHz", "label"],
-        ([fmt_gauss(b), fmt_mhz(f), label]
-         for c, label in zip(curves, labels) for b, f in zip(c.B, c.f)),
+        (f"%.6f,%.4f,{label}\n" * len(c.B) for c, label in zip(curves, labels)),
+        [np.column_stack([c.B, c.f]) for c in curves],
     )
 
 
@@ -164,11 +179,12 @@ def zfs_to_json(z: ZfsEstimate) -> str:
 
 
 def map_to_csv(deg_map) -> str:
-    phis, thetas, pl = deg_map.grid.phis, deg_map.grid.thetas, deg_map.pl_proxy
-    return _csv(
+    thetas = [fmt_gauss(theta) for theta in deg_map.grid.thetas]
+    return _table(
         ["phi_deg", "theta_deg", "pl_proxy"],
-        ([fmt_gauss(phi), fmt_gauss(theta), f"{pl[i, j]:.6f}"]
-         for i, phi in enumerate(phis) for j, theta in enumerate(thetas)),
+        (f"{phi},{theta},%.6f\n"
+         for phi in map(fmt_gauss, deg_map.grid.phis) for theta in thetas),
+        [deg_map.pl_proxy],
     )
 
 
@@ -190,10 +206,11 @@ def map_meta_to_json(deg_map) -> str:
 
 
 def loci_to_csv(loci: dict[str, np.ndarray]) -> str:
-    return _csv(
+    names = sorted(loci)
+    return _table(
         ["plane", "phi_deg", "theta_deg"],
-        ([name, fmt_gauss(phi), fmt_gauss(theta)]
-         for name in sorted(loci) for phi, theta in loci[name]),
+        (f"{_cell(name)},%.6f,%.6f\n" * len(loci[name]) for name in names),
+        [loci[name] for name in names],
     )
 
 

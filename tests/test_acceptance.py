@@ -207,7 +207,8 @@ def test_criterion_08_angular_map_geometry(nv):
         )
 
     # ODMR lines at phi, theta in {-3, 0, 3} deg; closer than 0.1 MHz is one line
-    f = np.sort(_probe_freq_grid(nv, AngleGrid(3.0, 3.0, 3, 3), 115.0).reshape(3, 3, 8))
+    grid_3deg = AngleGrid(3.0, 3.0, 3, 3)
+    f = np.sort(_probe_freq_grid(nv, grid_3deg.phis, grid_3deg.thetas, 115.0).reshape(3, 3, 8))
     breaks = np.diff(f) > 0.1
     assert np.count_nonzero(breaks[1, 1]) + 1 == 2
     lines_33 = np.split(f[2, 2], np.flatnonzero(breaks[2, 2]) + 1)

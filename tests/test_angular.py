@@ -84,7 +84,8 @@ def test_field_from_angles_composition_order():
 @pytest.fixture(scope="module")
 def freqs_3deg(nv):
     """Probe frequencies f[i, j, class, branch] at phi, theta in {-3, 0, 3}."""
-    return _probe_freq_grid(nv, AngleGrid(3.0, 3.0, 3, 3), 115.0)
+    grid = AngleGrid(3.0, 3.0, 3, 3)
+    return _probe_freq_grid(nv, grid.phis, grid.thetas, 115.0)
 
 
 def test_odmr_lines_on_axis(freqs_3deg):
@@ -101,7 +102,8 @@ def test_odmr_lines_three_three(freqs_3deg):
 
 
 def test_odmr_lines_match_polar_angle_oracle(nv):
-    f = _probe_freq_grid(nv, AngleGrid(7.0, 13.0, 3, 3), 115.0)[2, 2]
+    grid = AngleGrid(7.0, 13.0, 3, 3)
+    f = _probe_freq_grid(nv, grid.phis, grid.thetas, 115.0)[2, 2]
     assert np.max(np.abs(np.sort(f.ravel()) - oracle_freqs(7.0, 13.0))) < 1e-6
 
 
@@ -109,7 +111,7 @@ def test_odmr_merge_preserves_multiplicity(nv, rng):
     for _ in range(5):
         phi_max, theta_max = rng.uniform(1.0, 15.0, size=2)
         grid = AngleGrid(phi_max, theta_max, 3, 3)
-        f = _probe_freq_grid(nv, grid, 115.0)
+        f = _probe_freq_grid(nv, grid.phis, grid.thetas, 115.0)
         for i, phi in enumerate(grid.phis):
             for j, theta in enumerate(grid.thetas):
                 assert sum(line_multiplicities(f[i, j])) == 8
@@ -128,6 +130,20 @@ def test_angle_grid_validation():
     g = AngleGrid(phi_max=10.0, theta_max=20.0, n_phi=5, n_theta=9)
     assert g.phis[0] == -10.0 and g.phis[-1] == 10.0
     assert len(g.thetas) == 9 and g.thetas[4] == 0.0
+
+
+@pytest.mark.parametrize("limit, n", [(10.0, 5), (83.89, 65), (6.247, 103), (45.0, 50), (12.5, 4)])
+def test_angle_grid_is_exactly_odd(limit, n):
+    # a[n - 1 - k] == -a[k] bit for bit, endpoints exact, and an odd
+    # count centred on +0.0 (plain linspace leaves residues like -7e-15)
+    g = AngleGrid(phi_max=limit, theta_max=limit, n_phi=n, n_theta=n)
+    for a in (g.phis, g.thetas):
+        assert np.array_equal(a[::-1], -a)
+        assert a[0] == -limit and a[-1] == limit
+        assert np.all(np.diff(a) > 0)
+        assert np.allclose(a, np.linspace(-limit, limit, n), rtol=0, atol=1e-12)
+        if n % 2:
+            assert a[n // 2] == 0.0 and not np.signbit(a[n // 2])
 
 
 def test_plane_loci_shapes_and_values():
@@ -221,3 +237,67 @@ def test_map_ridges_follow_loci(nv):
             abs(phi_dark - loci[name][k, 0]) for name in ("001", "011", "01-1")
         ]
         assert min(dists) <= cell + 1e-9
+
+
+# ------------------------------------------------------- quadrant mirror
+
+def reference_simulate_map(grid, amplitude, nv, linewidth, contrast):
+    """pl_proxy solved on every grid cell, as simulate_map did before it
+    solved one quadrant and mirrored it."""
+    f = _probe_freq_grid(nv, grid.phis, grid.thetas, amplitude)
+    hwhm = linewidth / 2.0
+    raw = np.zeros((grid.n_phi, grid.n_theta))
+    n_cls = f.shape[2]
+    for a in range(n_cls):
+        for b in range(a + 1, n_cls):
+            for br_a in range(2):
+                for br_b in range(2):
+                    det = f[:, :, a, br_a] - f[:, :, b, br_b]
+                    raw += 1.0 / (1.0 + (det / hwhm) ** 2)
+    peak = float(np.max(raw))
+    scale = contrast / peak if peak > 0 else 0.0
+    return 1.0 - scale * raw
+
+
+def random_species(rng, kind, k):
+    """A bare S=1 species with E != 0 (E = 0 for every third one)."""
+    return SpinSpecies(
+        name=f"toy{k}", S=1.0, D=float(rng.uniform(500.0, 3000.0)),
+        E=0.0 if k % 3 == 0 else float(rng.uniform(5.0, 150.0)),
+        gamma_e=float(rng.uniform(1.5, 3.5)), orientation_kind=kind,
+    )
+
+
+def mirror_cases(catalog):
+    rng = np.random.default_rng(30)
+    for k in range(18):
+        if k < 3:
+            nv = catalog[("NV", "VH-", "WAR1")[k]]
+        else:
+            nv = random_species(rng, ("111", "lab")[k % 2], k)
+        n_phi, n_theta = (int(n) for n in rng.integers(3, 48, size=2))
+        grid = AngleGrid(*(float(x) for x in rng.uniform(0.5, 90.0, size=2)), n_phi, n_theta)
+        amplitude = 0.0 if k % 5 == 0 else float(rng.uniform(1.0, 600.0))
+        yield nv, grid, amplitude, float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.01, 1.0))
+
+
+def test_map_equals_full_grid_reference(catalog):
+    # odd and even counts, unequal ranges and amplitude 0 among the cases
+    for nv, grid, amplitude, linewidth, contrast in mirror_cases(catalog):
+        pl = simulate_map(grid, amplitude, nv, linewidth=linewidth, contrast=contrast).pl_proxy
+        ref = reference_simulate_map(grid, amplitude, nv, linewidth, contrast)
+        assert [f"{x:.6f}" for x in pl.ravel()] == [f"{x:.6f}" for x in ref.ravel()], nv
+
+        # mirrored cells are copies, bit for bit
+        assert pl.tobytes() == pl[::-1].tobytes() == pl[:, ::-1].tobytes()
+
+
+def test_probe_spectra_are_even_in_each_angle(catalog):
+    # the symmetry the quadrant solve rests on, per grid cell: the class
+    # and branch frequencies at (-phi, theta) and (phi, -theta) are those
+    # at (phi, theta), for <111> and lab species with E != 0
+    for nv, grid, amplitude, _, _ in mirror_cases(catalog):
+        f = _probe_freq_grid(nv, grid.phis, grid.thetas, amplitude)
+        f = np.sort(f.reshape(grid.n_phi, grid.n_theta, -1), axis=-1)
+        assert np.max(np.abs(f - f[::-1])) < 1e-9
+        assert np.max(np.abs(f - f[:, ::-1])) < 1e-9

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import crosspeak.crossings as crossings_mod
+from crosspeak.angular import AngleGrid
 from crosspeak.cli import main
 
 from synth import make_scan
@@ -214,6 +215,29 @@ def test_crossings_p1_three_body(tmp_path, capsys):
     assert fields[0] == 0.0
     for ref in (3.89, 5.96, 6.58, 17.90):
         assert min(abs(f - ref) for f in fields) < 1.0
+
+
+@pytest.mark.parametrize("near, exact", [("1,1e-10,0", "100"), ("1e-10,-2e-10,-1", "0,0,-1")])
+def test_crossings_p1_three_body_near_100_tracks_one_class(tmp_path, monkeypatch, near, exact):
+    # an axis within 1e-9 of <100> is swept along the exact <100> axis, so
+    # the orbit rule tracks one P1 class, as it does along the exact axis
+    calls = []
+
+    def counted(*args, _track=crossings_mod.track_levels):
+        calls.append(1)
+        return _track(*args)
+
+    monkeypatch.setattr(crossings_mod, "track_levels", counted)
+    outputs = {}
+    for name, axis in (("exact", exact), ("near", near)):
+        calls.clear()
+        out = tmp_path / name
+        assert run(["crossings", "--p1-three-body", f"--axis={axis}", "--range", "0:20:0.1",
+                    "--outdir", out]) == 0
+        outputs[name] = (len(calls), (out / "crossings.csv").read_bytes(),
+                         (out / "crossings.json").read_bytes())
+    assert outputs["near"] == outputs["exact"]
+    assert outputs["exact"][0] == 2  # the NV probe track and one P1 class
 
 
 # ------------------------------------------------------------------ fit
@@ -460,6 +484,28 @@ def test_map_outputs(tmp_path, capsys):
     meta = json.loads((tmp_path / "map_meta.json").read_text())
     assert meta["grid"]["n_phi"] == 11
     assert (tmp_path / "loci.csv").exists()
+
+
+@pytest.mark.parametrize("steps, expect", [("10", (4, 4)), ("11", (5, 5))])
+def test_map_minimum_is_first_tied_cell(tmp_path, capsys, steps, expect):
+    # mirror cells tie exactly; stdout names the first minimal cell in
+    # row-major order, on an even grid the one at negative phi and theta
+    code = run(["map", "--steps", steps, "--phi-max", "5", "--theta-max", "3",
+                "--outdir", tmp_path])
+    assert code == 0
+    grid = AngleGrid(5.0, 3.0, int(steps), int(steps))
+    i, j = expect
+    assert (f"at (phi, theta) = ({grid.phis[i]:.2f}, {grid.thetas[j]:.2f}) deg"
+            in capsys.readouterr().out)
+    pl = [line.split(",")[2] for line in (tmp_path / "map.csv").read_text().splitlines()[1:]]
+    lowest = min(pl, key=float)
+    tied = [k for k, v in enumerate(pl) if v == lowest]
+    n = int(steps)
+    if n % 2:
+        assert tied == [i * n + j]
+    else:
+        assert tied == [i * n + j, i * n + j + 1, (i + 1) * n + j, (i + 1) * n + j + 1]
+        assert grid.phis[i] < 0 and grid.thetas[j] < 0
 
 
 @pytest.mark.parametrize(

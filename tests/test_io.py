@@ -1,6 +1,9 @@
 """Serialisation formats and the scan readers."""
 
+import csv
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from crosspeak.io import (
     fmt_gauss,
     fmt_mhz,
     loci_to_csv,
+    map_to_csv,
     read_fiducials_csv,
     read_scan_csv,
     write_text_atomic,
@@ -64,6 +68,61 @@ def test_curves_csv_label_carries_multiplicity(nv):
     assert lines[0] == "B_G,f_MHz,label"
     assert "|x4" in lines[1]
     assert lines[1].split(",")[2].startswith("NV|")
+
+
+def csv_writer_text(header, rows):
+    """The cell-by-cell csv.writer layout the numeric writers reproduce."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def awkward_values(rng, n):
+    """n floats mixing ordinary values with -0.0, NaN, +-inf, 1e300,
+    1e-300 and values that print as -0.000000."""
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300,
+                        -1e-300, -4e-7, 5e-7, 0.5e-6, 2.5e-5, 1234567.8900005])
+    x = rng.normal(0.0, 100.0, size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    pick = rng.random(n) < 0.3
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    return x
+
+
+def test_numeric_writers_match_csv_writer(rng):
+    for _ in range(20):
+        n_phi, n_theta = (int(n) for n in rng.integers(1, 30, size=2))
+        phis, thetas = awkward_values(rng, n_phi), awkward_values(rng, n_theta)
+        pl = awkward_values(rng, n_phi * n_theta).reshape(n_phi, n_theta)
+        deg_map = SimpleNamespace(grid=SimpleNamespace(phis=phis, thetas=thetas), pl_proxy=pl)
+        assert map_to_csv(deg_map) == csv_writer_text(
+            ["phi_deg", "theta_deg", "pl_proxy"],
+            ([f"{phi:.6f}", f"{theta:.6f}", f"{pl[i, j]:.6f}"]
+             for i, phi in enumerate(phis) for j, theta in enumerate(thetas)),
+        )
+
+        # names and labels that need quoting, or hold printf's '%'
+        names = ["010", "a,b", 'q"uote', "50%", "%s", ""]
+        loci = {name: awkward_values(rng, 2 * int(rng.integers(0, 9))).reshape(-1, 2)
+                for name in rng.choice(names, size=3, replace=False)}
+        assert loci_to_csv(loci) == csv_writer_text(
+            ["plane", "phi_deg", "theta_deg"],
+            ([name, f"{phi:.6f}", f"{theta:.6f}"]
+             for name in sorted(loci) for phi, theta in loci[name]),
+        )
+
+        curves = []
+        for k in range(int(rng.integers(0, 4))):
+            n = int(rng.integers(0, 12))
+            curves.append(SimpleNamespace(
+                species=str(rng.choice(names)), orientation=k, label="ms=0>ms=+1",
+                multiplicity=k + 1, B=awkward_values(rng, n), f=awkward_values(rng, n)))
+        assert curves_to_csv(curves) == csv_writer_text(
+            ["B_G", "f_MHz", "label"],
+            ([f"{b:.6f}", f"{f:.4f}", f"{c.species}|{c.orientation}|{c.label}|x{c.multiplicity}"]
+             for c in curves for b, f in zip(c.B, c.f)),
+        )
 
 
 def test_zfs_json_shape():
